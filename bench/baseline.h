@@ -185,8 +185,9 @@ struct CompareResult
  * FAILURE (a silently vanished number is how regressions hide); a metric
  * or section the run emits but the baseline has never seen is a WARNING
  * ("adopt by refreshing BASELINE.json"), so adding instrumentation never
- * blocks a PR. Tier mismatch fails outright — smoke and full numbers
- * are not comparable.
+ * blocks a PR. Non-deterministic info metrics are provenance that
+ * baselineFromReport() never adopts, so they never warn. Tier mismatch
+ * fails outright — smoke and full numbers are not comparable.
  */
 inline CompareResult
 compareReport(const RunReport& report, const Baseline& baseline)
@@ -273,7 +274,9 @@ compareReport(const RunReport& report, const Baseline& baseline)
             }
         }
         for (const MetricResult& m : section.metrics) {
-            if (!base->findMetric(m.name)) {
+            const bool loose_info =
+                m.dir == Direction::Info && !m.deterministic;
+            if (!loose_info && !base->findMetric(m.name)) {
                 out.warnings.push_back(
                     "section \"" + section.name + "\": new metric \"" +
                     m.name +

@@ -122,9 +122,12 @@ registerFig16SchedulerScalability(Registry& registry)
                 });
                 const double mem_mb =
                     toMB(schedulerMemoryEstimate(instance.bench.dag));
-                report.lower(strFormat("iterate_ms_n%d", n), iterate_ms);
-                report.lower(strFormat("hash_partition_ms_n%d", n),
-                             hash_ms);
+                // Host timings are reported, not ratcheted: a
+                // sub-millisecond window moves with the host.
+                report.info(strFormat("iterate_ms_n%d", n), iterate_ms,
+                            /*deterministic=*/false);
+                report.info(strFormat("hash_partition_ms_n%d", n), hash_ms,
+                            /*deterministic=*/false);
                 report.info(strFormat("groups_n%d", n),
                             static_cast<double>(groups));
                 report.info(strFormat("mem_mb_n%d", n), mem_mb);

@@ -1,20 +1,18 @@
 /**
  * @file
- * Simulator hot-path microbenchmarks. Unlike the figure benches (which
- * reproduce paper results), this one measures the *simulator itself*:
+ * Simulator hot-path checks. Unlike the figure benches (which reproduce
+ * paper results), this one looks at the *simulator itself*:
  *
- *   1. event-queue throughput, shallow and deep (20k backlog) mixes
- *   2. network flow churn through the incremental fair-share allocator
- *   3. wall time of a reduced Fig. 12-style end-to-end sweep
- *   4. campaign scaling: the same job set at 1 thread vs N threads,
- *      with a bit-identity check across the two executions
- *   5. wall-clock overhead of the activity recorder (off vs on)
+ *   1. event-queue throughput on a deep (backlogged) schedule/cancel mix
+ *   2. p99 of a reduced Fig. 12-style end-to-end sweep
+ *   3. campaign bit-identity: the same job set at 1 thread vs N threads
+ *   4. span and sample counts of one traced, profiled run
  *
- * All workload randomness is precomputed outside the timed regions from
- * fixed seeds, so the work done is identical run to run and machine to
- * machine. Wall-clock throughputs are non-deterministic metrics; the
- * simulation results (sweep p99s, span counts, bit-identity) fold into
- * the determinism digest.
+ * All workload randomness is precomputed from fixed seeds, so the work
+ * done is identical run to run and machine to machine. The event-queue
+ * rate is a non-deterministic info metric; host time of the production
+ * System is perfbench's job. Everything else is simulated output and
+ * folds into the determinism digest.
  */
 #include <chrono>
 #include <cstdio>
@@ -25,11 +23,9 @@
 #include <vector>
 
 #include "common/campaign.h"
-#include "common/logging.h"
 #include "harness.h"
-#include "net/network.h"
 #include "registry.h"
-#include "sim/simulator.h"
+#include "sim/event_queue.h"
 
 namespace {
 
@@ -72,10 +68,9 @@ makeEvqMix(size_t events, uint64_t seed)
 }
 
 /**
- * Runs the churn loop against a queue pre-filled with `backlog` events.
- * backlog = 0 keeps the heap shallow (queue-depth ~ tens); a large
- * backlog measures the steady state of a busy simulation where thousands
- * of timers and flow ETAs are in flight.
+ * Runs the churn loop against a queue pre-filled with `backlog` events:
+ * the steady state of a busy simulation where thousands of timers and
+ * flow ETAs are in flight.
  */
 double
 evqEventsPerSec(size_t events, size_t backlog)
@@ -120,74 +115,7 @@ evqEventsPerSec(size_t events, size_t backlog)
 }
 
 // ---------------------------------------------------------------------
-// 2. Network: flow churn through the fair-share allocator.
-
-/**
- * Star topology (one storage hub, `workers` workers) with a sustained
- * window of concurrent flows: every completion starts the next transfer
- * from a precomputed list, so ~`window` flows contend at all times —
- * the shape the incremental allocator is built for.
- */
-double
-netFlowsPerSec(size_t flows, size_t workers, size_t window)
-{
-    struct FlowPlan
-    {
-        net::NodeId src;
-        net::NodeId dst;
-        int64_t bytes;
-    };
-    sim::Simulator sim;
-    net::Network network(sim);
-    const net::NodeId storage = network.addNode("storage", 100e6, 100e6);
-    std::vector<net::NodeId> nodes;
-    for (size_t w = 0; w < workers; ++w) {
-        nodes.push_back(
-            network.addNode(strFormat("w%zu", w), 1e9, 1e9));
-    }
-    std::vector<FlowPlan> plan(flows);
-    std::mt19937_64 rng(7);
-    for (FlowPlan& p : plan) {
-        const uint64_t r = rng();
-        const net::NodeId worker = nodes[r % workers];
-        // Mix of saves (worker -> storage), fetches (storage -> worker)
-        // and direct worker-to-worker transfers.
-        switch ((r >> 8) % 3) {
-        case 0: p.src = worker; p.dst = storage; break;
-        case 1: p.src = storage; p.dst = worker; break;
-        default:
-            p.src = worker;
-            p.dst = nodes[(r % workers + 1 + (r >> 16) % (workers - 1)) %
-                          workers];
-            if (p.dst == p.src)
-                p.dst = storage;
-            break;
-        }
-        p.bytes = static_cast<int64_t>(4096 + (r >> 24) % (512 * 1024));
-    }
-    size_t next = 0;
-    size_t completed = 0;
-    std::function<void()> start_next = [&] {
-        if (next >= plan.size())
-            return;
-        const FlowPlan& p = plan[next++];
-        network.startFlow(p.src, p.dst, p.bytes, [&](SimTime) {
-            ++completed;
-            start_next();
-        });
-    };
-    const auto t0 = std::chrono::steady_clock::now();
-    for (size_t w = 0; w < window && w < plan.size(); ++w)
-        start_next();
-    sim.run();
-    const double elapsed = secondsSince(t0);
-    if (completed != flows)
-        panic("perf_hotpaths: %zu of %zu flows completed", completed, flows);
-    return static_cast<double>(completed) / elapsed;
-}
-
-// ---------------------------------------------------------------------
-// 3 + 4. End-to-end sweep and campaign scaling.
+// 2 + 3. End-to-end sweep and campaign bit-identity.
 
 double
 sweepPointP99(double bandwidth, size_t invocations)
@@ -202,42 +130,27 @@ sweepPointP99(double bandwidth, size_t invocations)
 }
 
 // ---------------------------------------------------------------------
-// 5. Tracing overhead: the same end-to-end run with the activity
-// recorder off (the disabled check must be nearly free) and on.
+// 4. One run with the activity recorder and the online profile store
+// both on. Both are sim-inert, so their counts are simulated output.
 
-double
-tracedRunWallMs(size_t invocations, bool traced, size_t& spans)
+struct ObservedCounts
+{
+    size_t spans = 0;
+    size_t samples = 0;
+};
+
+ObservedCounts
+tracedProfiledRun(size_t invocations)
 {
     System system(SystemConfig::faasflowFaastore());
-    if (traced)
-        system.trace().enable();
+    system.trace().enable();
+    system.profile().enable();
     const std::string name =
         bench::deployBenchmark(system, benchmarks::videoFfmpeg());
-    const auto t0 = std::chrono::steady_clock::now();
     bench::runOpenLoop(system, name, 6.0, invocations);
-    const double wall_ms = secondsSince(t0) * 1000.0;
-    spans = system.trace().eventCount();
-    return wall_ms;
-}
-
-// ---------------------------------------------------------------------
-// 6. Profiler overhead: the same end-to-end run with the online profile
-// store off (the disabled check must be nearly free) and on.
-
-double
-profiledRunWallMs(size_t invocations, bool profiled, size_t& samples)
-{
-    System system(SystemConfig::faasflowFaastore());
-    if (profiled)
-        system.profile().enable();
-    const std::string name =
-        bench::deployBenchmark(system, benchmarks::videoFfmpeg());
-    const auto t0 = std::chrono::steady_clock::now();
-    bench::runOpenLoop(system, name, 6.0, invocations);
-    const double wall_ms = secondsSince(t0) * 1000.0;
-    samples = system.profile().nodeSampleCount() +
-              system.profile().edgeSampleCount();
-    return wall_ms;
+    return {system.trace().eventCount(),
+            system.profile().nodeSampleCount() +
+                system.profile().edgeSampleCount()};
 }
 
 }  // namespace
@@ -249,121 +162,65 @@ registerPerfHotpaths(Registry& registry)
 {
     registry.add(SectionSpec{
         "perf_hotpaths", "perf",
-        "simulator hot paths: event queue, fair-share churn, sweep wall, "
-        "campaign scaling, trace overhead",
+        "simulator hot paths: event-queue rate, sweep p99, campaign "
+        "bit-identity, trace and profile counts",
         [](const RunOptions& opts, Report& report) {
             const size_t evq_events = opts.scaled(2'000'000, 200'000);
             const size_t evq_backlog = opts.scaled(20'000, 5'000);
-            const size_t net_flows = opts.scaled(200'000, 20'000);
             const size_t sweep_invocations = opts.scaled(200, 40);
             const size_t campaign_jobs = opts.scaled(4, 2);
 
             std::printf("perf_hotpaths%s\n", opts.smoke ? " (smoke)" : "");
 
-            const double evq_shallow = evqEventsPerSec(evq_events, 0);
-            report.higher("events_per_sec_shallow", evq_shallow);
-            std::printf("event queue, shallow mix: %.0f events/sec\n",
-                        evq_shallow);
             const double evq_deep =
                 evqEventsPerSec(evq_events, evq_backlog);
-            report.higher("events_per_sec_deep", evq_deep);
+            report.info("events_per_sec_deep", evq_deep,
+                        /*deterministic=*/false);
             std::printf("event queue, deep mix (%zu backlog): %.0f "
                         "events/sec\n",
                         evq_backlog, evq_deep);
 
-            const double flows_per_sec = netFlowsPerSec(net_flows, 8, 64);
-            report.higher("flows_per_sec", flows_per_sec);
-            std::printf("network fair-share churn: %.0f flows/sec\n",
-                        flows_per_sec);
-
-            const auto sweep_t0 = std::chrono::steady_clock::now();
             for (const double bw : {25e6, 100e6}) {
                 const double p99 = sweepPointP99(bw, sweep_invocations);
                 report.info(strFormat("sweep_p99_ms_bw%d",
                                       (int)(bw / 1e6)),
                             p99);
             }
-            const double sweep_ms = secondsSince(sweep_t0) * 1000.0;
-            report.lower("fig12_sweep_wall_ms", sweep_ms);
-            std::printf("fig12-style sweep (2 points x %zu invocations): "
-                        "%.0f ms\n",
-                        sweep_invocations, sweep_ms);
 
-            // Campaign scaling: same jobs, 1 thread vs the harness
-            // width. On a single-core host the two walls are expected to
-            // match; the p99 bit-identity check is meaningful regardless.
+            // Campaign bit-identity: same jobs, 1 thread vs the harness
+            // width. Meaningful on any host, single-core included.
             std::vector<std::function<double()>> jobs;
             for (size_t j = 0; j < campaign_jobs; ++j) {
                 jobs.push_back([sweep_invocations] {
                     return sweepPointP99(50e6, sweep_invocations);
                 });
             }
-            const auto seq_t0 = std::chrono::steady_clock::now();
             const std::vector<double> seq = runCampaign(jobs, 1);
-            const double seq_ms = secondsSince(seq_t0) * 1000.0;
             const unsigned threads = opts.campaignWidth();
-            const auto par_t0 = std::chrono::steady_clock::now();
             const std::vector<double> par = runCampaign(jobs, threads);
-            const double par_ms = secondsSince(par_t0) * 1000.0;
             bool identical = true;
             for (size_t j = 0; j < jobs.size(); ++j)
                 identical = identical && std::memcmp(&seq[j], &par[j],
                                                      sizeof(double)) == 0;
-            report.lower("campaign_wall_ms_1_thread", seq_ms);
-            report.lower("campaign_wall_ms_n_threads", par_ms);
             report.info("campaign_jobs",
                         static_cast<double>(campaign_jobs));
             report.info("campaign_threads", static_cast<double>(threads),
                         /*deterministic=*/false);
             report.info("campaign_bit_identical", identical ? 1.0 : 0.0);
-            std::printf("campaign (%zu jobs): %.0f ms @ 1 thread, %.0f ms "
-                        "@ %u threads, results %s\n",
-                        campaign_jobs, seq_ms, par_ms, threads,
+            std::printf("campaign (%zu jobs) @ 1 vs %u threads: results "
+                        "%s\n",
+                        campaign_jobs, threads,
                         identical ? "bit-identical" : "MISMATCH");
 
-            // Trace overhead: identical simulated work with the recorder
-            // off and on. Tracing costs no *simulated* time by
-            // construction; this pins the wall-clock cost of recording.
-            size_t spans_off = 0;
-            size_t spans_on = 0;
-            const double trace_off_ms =
-                tracedRunWallMs(sweep_invocations, false, spans_off);
-            const double trace_on_ms =
-                tracedRunWallMs(sweep_invocations, true, spans_on);
-            report.lower("trace_off_wall_ms", trace_off_ms);
-            report.lower("trace_on_wall_ms", trace_on_ms);
-            report.info("trace_spans", static_cast<double>(spans_on));
-            std::printf("trace overhead (%zu invocations): %.0f ms off, "
-                        "%.0f ms on (%zu spans, %+.1f%%)\n",
-                        sweep_invocations, trace_off_ms, trace_on_ms,
-                        spans_on,
-                        trace_off_ms > 0.0
-                            ? 100.0 * (trace_on_ms - trace_off_ms) /
-                                  trace_off_ms
-                            : 0.0);
-
-            // Profiler overhead: identical simulated work with the
-            // online profile store off and on. Like tracing, the
-            // profiler is sim-inert by construction; this pins the
-            // wall-clock cost of streaming histogram samples.
-            size_t samples_off = 0;
-            size_t samples_on = 0;
-            const double profile_off_ms =
-                profiledRunWallMs(sweep_invocations, false, samples_off);
-            const double profile_on_ms =
-                profiledRunWallMs(sweep_invocations, true, samples_on);
-            report.lower("profile_off_wall_ms", profile_off_ms);
-            report.lower("profile_on_wall_ms", profile_on_ms);
+            const ObservedCounts observed =
+                tracedProfiledRun(sweep_invocations);
+            report.info("trace_spans", static_cast<double>(observed.spans));
             report.info("profile_samples",
-                        static_cast<double>(samples_on));
-            std::printf("profile overhead (%zu invocations): %.0f ms off, "
-                        "%.0f ms on (%zu samples, %+.1f%%)\n",
-                        sweep_invocations, profile_off_ms, profile_on_ms,
-                        samples_on,
-                        profile_off_ms > 0.0
-                            ? 100.0 * (profile_on_ms - profile_off_ms) /
-                                  profile_off_ms
-                            : 0.0);
+                        static_cast<double>(observed.samples));
+            std::printf("traced + profiled run (%zu invocations): %zu "
+                        "spans, %zu samples\n",
+                        sweep_invocations, observed.spans,
+                        observed.samples);
         }});
 }
 

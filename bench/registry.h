@@ -30,9 +30,6 @@ struct RunOptions
     unsigned threads = 0;
     /** Per-section wall-clock budget; 0 = unlimited. */
     int64_t budget_ms = 0;
-    /** Print section health counters (per-shard event/stall tables,
-     *  queue compaction stats) alongside the metrics. */
-    bool stats = false;
     /** Set by the runner immediately before each section run. */
     std::chrono::steady_clock::time_point section_start{};
 
@@ -256,7 +253,6 @@ globMatch(std::string_view pattern, std::string_view text)
 // One register function per bench translation unit; sections.cc calls
 // them all in the canonical (alphabetical) order.
 void registerAblationModes(Registry&);
-void registerClusterScale(Registry&);
 void registerColdstartPolicies(Registry&);
 void registerDurabilityFrontier(Registry&);
 void registerFig04MasterSpOverhead(Registry&);
@@ -269,7 +265,6 @@ void registerFig15Distribution(Registry&);
 void registerFig16SchedulerScalability(Registry&);
 void registerGeneratedDags(Registry&);
 void registerLoadSaturation(Registry&);
-void registerMicroSubstrates(Registry&);
 void registerPerfHotpaths(Registry&);
 void registerSec57ComponentOverhead(Registry&);
 void registerTable2VendorQuotas(Registry&);

@@ -26,7 +26,6 @@ struct RunnerOptions
     int64_t budget_ms = 0;  ///< per-section wall budget; 0 = unlimited
     unsigned threads = 0;   ///< campaign width; 0 = env/hardware default
     bool verbose = true;    ///< print section headers/progress to stdout
-    bool stats = false;     ///< sections print their health counters
 };
 
 /** Aggregate of one metric across the interleaved repetitions. */
@@ -165,7 +164,6 @@ runSections(const Registry& registry, const RunnerOptions& options)
             run.smoke = options.smoke;
             run.threads = options.threads;
             run.budget_ms = options.budget_ms;
-            run.stats = options.stats;
             run.section_start = std::chrono::steady_clock::now();
             Report report;
             spec.run(run, report);

@@ -14,7 +14,6 @@ void
 registerAllSections(Registry& registry)
 {
     registerAblationModes(registry);
-    registerClusterScale(registry);
     registerColdstartPolicies(registry);
     registerDurabilityFrontier(registry);
     registerFig04MasterSpOverhead(registry);
@@ -27,7 +26,6 @@ registerAllSections(Registry& registry)
     registerFig16SchedulerScalability(registry);
     registerGeneratedDags(registry);
     registerLoadSaturation(registry);
-    registerMicroSubstrates(registry);
     registerPerfHotpaths(registry);
     registerSec57ComponentOverhead(registry);
     registerTable2VendorQuotas(registry);

@@ -47,8 +47,7 @@ struct FleetSpec
     /** Bandwidth multiplier for degraded NICs (< 1). */
     double slow_nic_multiplier = 0.25;
 
-    /** One-way cross-node hop latency — the conservative lookahead
-     *  window for sharded execution (net::Network's hop_latency). */
+    /** One-way cross-node hop latency (net::Network's hop_latency). */
     SimTime hop_latency = SimTime::millis(0.5);
 };
 

@@ -139,7 +139,7 @@ MasterEngine::trigger(Invocation& inv, workflow::NodeId node_id)
         const auto& node = inv.wf->dag.node(node_id);
         if (ctx_.trace) {
             ctx_.trace->instant("trigger", node.name,
-                                static_cast<int>(TraceTrack::Master),
+                                static_cast<int>(obs::TraceTrack::Master),
                                 ctx_.sim.now(), inv.inv_span);
         }
 
@@ -186,9 +186,9 @@ MasterEngine::trigger(Invocation& inv, workflow::NodeId node_id)
                 // Zero-duration node span on the master lane — virtual
                 // joins and skipped branches run inside the central
                 // engine, no worker is involved.
-                const SpanId span = ctx_.trace->span(
+                const obs::SpanId span = ctx_.trace->span(
                     "node", node.name,
-                    static_cast<int>(TraceTrack::Master), ctx_.sim.now(),
+                    static_cast<int>(obs::TraceTrack::Master), ctx_.sim.now(),
                     ctx_.sim.now(), skipped ? "skipped" : "virtual",
                     inv.inv_span);
                 inv.node_span[static_cast<size_t>(node_id)] = span;

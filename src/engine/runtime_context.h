@@ -6,8 +6,8 @@
 #include "cluster/cluster.h"
 #include "common/sim_time.h"
 #include "engine/modes.h"
-#include "engine/trace.h"
 #include "net/network.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "storage/faastore.h"
 #include "storage/remote_store.h"
@@ -67,7 +67,7 @@ struct RuntimeContext
     DataMode data_mode = DataMode::RemoteOnly;
 
     /** Optional activity recorder (disabled by default). */
-    TraceRecorder* trace = nullptr;
+    obs::TraceRecorder* trace = nullptr;
 
     /** Optional online profile store (null or disabled by default);
      *  engines and executors stream cost samples into it. */
@@ -82,11 +82,11 @@ struct RuntimeContext
     DurabilityMode durability = DurabilityMode::Sync;
 };
 
-/** Trace lane for worker `w` (see TraceTrack). */
+/** Trace lane for worker `w` (see obs::TraceTrack). */
 inline int
 workerTrack(int worker_index)
 {
-    return static_cast<int>(TraceTrack::WorkerBase) + worker_index;
+    return static_cast<int>(obs::TraceTrack::WorkerBase) + worker_index;
 }
 
 }  // namespace faasflow::engine

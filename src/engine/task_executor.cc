@@ -33,7 +33,7 @@ dataKey(const Invocation& inv, workflow::NodeId node)
 TaskExecutor::TaskExecutor(sim::Simulator& sim, cluster::WorkerNode& node,
                            storage::FaaStore& store,
                            const cluster::FunctionRegistry& registry, Rng rng,
-                           TraceRecorder* trace, int track)
+                           obs::TraceRecorder* trace, int track)
     : sim_(sim), node_(node), store_(store), registry_(registry), rng_(rng),
       trace_(trace), track_(track)
 {
@@ -57,7 +57,7 @@ struct TaskExecutor::RunState
     /** The node's trace span, open across all phases: phase spans nest
      *  under it, and a worker crash sweeps it closed mid-run. 0 while
      *  tracing is disabled. */
-    SpanId span = 0;
+    obs::SpanId span = 0;
 
     /** Worker crash epoch captured at runNode entry. Every asynchronous
      *  resume compares it against the node's current epoch and abandons

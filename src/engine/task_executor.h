@@ -9,8 +9,8 @@
 #include "common/rng.h"
 #include "engine/types.h"
 #include "obs/profile.h"
+#include "obs/trace.h"
 #include "scheduler/feedback.h"
-#include "engine/trace.h"
 #include "storage/faastore.h"
 
 namespace faasflow::engine {
@@ -41,7 +41,7 @@ class TaskExecutor
     TaskExecutor(sim::Simulator& sim, cluster::WorkerNode& node,
                  storage::FaaStore& store,
                  const cluster::FunctionRegistry& registry, Rng rng,
-                 TraceRecorder* trace = nullptr, int track = 0);
+                 obs::TraceRecorder* trace = nullptr, int track = 0);
 
     struct NodeRunResult
     {
@@ -72,7 +72,7 @@ class TaskExecutor
     storage::FaaStore& store_;
     const cluster::FunctionRegistry& registry_;
     Rng rng_;
-    TraceRecorder* trace_;
+    obs::TraceRecorder* trace_;
     int track_;
     obs::ProfileStore* profile_ = nullptr;
 

@@ -11,7 +11,7 @@
 #include "common/payload.h"
 #include "common/sim_time.h"
 #include "engine/modes.h"
-#include "engine/trace.h"
+#include "obs/trace.h"
 #include "scheduler/feedback.h"
 #include "scheduler/placement.h"
 #include "workflow/dag.h"
@@ -208,8 +208,8 @@ struct Invocation
      *  the latest span recorded for each DAG node (re-drives replace the
      *  entry, so dep flows always point at the run that produced the
      *  consumed output). All zero while tracing is disabled. */
-    SpanId inv_span = 0;
-    std::vector<SpanId> node_span;
+    obs::SpanId inv_span = 0;
+    std::vector<obs::SpanId> node_span;
 
     size_t sinks_remaining = 0;
     bool finished = false;
@@ -255,14 +255,14 @@ chooseSwitchBranch(const Invocation& inv, int switch_id, int branches)
  * fires, so the arrows never point backwards. No-op while disabled.
  */
 inline void
-recordNodeSpanFlows(TraceRecorder* trace, const Invocation& inv,
-                    workflow::NodeId node, SpanId to, SimTime at)
+recordNodeSpanFlows(obs::TraceRecorder* trace, const Invocation& inv,
+                    workflow::NodeId node, obs::SpanId to, SimTime at)
 {
     if (!trace || !trace->enabled() || to == 0)
         return;
     bool any = false;
     for (const workflow::NodeId pred : inv.wf->dag.predecessors(node)) {
-        const SpanId from = inv.node_span[static_cast<size_t>(pred)];
+        const obs::SpanId from = inv.node_span[static_cast<size_t>(pred)];
         if (from != 0) {
             trace->flow("dep", from, to, at);
             any = true;

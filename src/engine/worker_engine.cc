@@ -163,7 +163,7 @@ WorkerEngine::trigger(Invocation& inv, workflow::NodeId node_id)
             if (ctx_.trace && ctx_.trace->enabled()) {
                 // Zero-duration node span: keeps the causal chain through
                 // virtual joins and non-taken branches intact.
-                const SpanId span = ctx_.trace->span(
+                const obs::SpanId span = ctx_.trace->span(
                     "node", node.name, workerTrack(worker_index_),
                     ctx_.sim.now(), ctx_.sim.now(),
                     skipped ? "skipped" : "virtual", inv.inv_span);

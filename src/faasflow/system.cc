@@ -517,7 +517,7 @@ System::invokeInternal(
             "invocation",
             strFormat("%s#%llu", workflow.c_str(),
                       static_cast<unsigned long long>(ref.id)),
-            static_cast<int>(engine::TraceTrack::Client), sim_->now(), 0,
+            static_cast<int>(obs::TraceTrack::Client), sim_->now(), 0,
             tenant);
     }
     ref.record.invocation_id = ref.id;
@@ -760,13 +760,13 @@ System::installFaults(const sim::FaultSchedule& schedule)
             // The outage window is one "fault" span on the network
             // track; the span id crosses from the down- to the
             // up-lambda through the shared slot.
-            auto span = std::make_shared<engine::SpanId>(0);
+            auto span = std::make_shared<obs::SpanId>(0);
             sim_->scheduleAt(event.at, [this, nid, span] {
                 network_->setLinkUp(nid, false);
                 if (trace_.enabled()) {
                     *span = trace_.openSpan(
                         "fault", "link-outage",
-                        static_cast<int>(engine::TraceTrack::Net),
+                        static_cast<int>(obs::TraceTrack::Net),
                         sim_->now(), 0, network_->nodeName(nid));
                 }
             });
@@ -781,7 +781,7 @@ System::installFaults(const sim::FaultSchedule& schedule)
             // The progress log shares the storage node, so a brown-out
             // stretches its commit latency by the same factor.
             const double severity = event.severity;
-            auto span = std::make_shared<engine::SpanId>(0);
+            auto span = std::make_shared<obs::SpanId>(0);
             sim_->scheduleAt(event.at, [this, severity, span] {
                 remote_->setDegradeFactor(severity);
                 if (progress_log_)
@@ -789,7 +789,7 @@ System::installFaults(const sim::FaultSchedule& schedule)
                 if (trace_.enabled()) {
                     *span = trace_.openSpan(
                         "fault", "brownout",
-                        static_cast<int>(engine::TraceTrack::Storage),
+                        static_cast<int>(obs::TraceTrack::Storage),
                         sim_->now(), 0, strFormat("x%.2f", severity));
                 }
             });
@@ -916,7 +916,7 @@ System::onWorkerFailureDetected(size_t worker)
         trace_.instant("recovery",
                        strFormat("detect %s",
                                  cluster_->worker(worker).name().c_str()),
-                       static_cast<int>(engine::TraceTrack::Master),
+                       static_cast<int>(obs::TraceTrack::Master),
                        sim_->now());
     }
     const int replacement = pickReplacement(worker);
@@ -947,7 +947,7 @@ System::recoverInvocation(engine::Invocation& inv, size_t crashed,
     ++inv.record.recoveries;
     if (trace_.enabled() && inv.inv_span != 0) {
         trace_.instant("recovery", "redrive",
-                       static_cast<int>(engine::TraceTrack::Master),
+                       static_cast<int>(obs::TraceTrack::Master),
                        sim_->now(), inv.inv_span);
     }
 
@@ -978,7 +978,7 @@ System::crashMaster()
     if (trace_.enabled()) {
         master_crash_span_ = trace_.openSpan(
             "fault", "master-crash",
-            static_cast<int>(engine::TraceTrack::Master), sim_->now());
+            static_cast<int>(obs::TraceTrack::Master), sim_->now());
     }
     if (config_.control_mode != engine::ControlMode::MasterSP)
         return;
@@ -1085,7 +1085,7 @@ System::replayInvocation(engine::Invocation& inv)
     ++inv.record.master_recoveries;
     if (trace_.enabled() && inv.inv_span != 0) {
         trace_.instant("recovery", "replay",
-                       static_cast<int>(engine::TraceTrack::Master),
+                       static_cast<int>(obs::TraceTrack::Master),
                        sim_->now(), inv.inv_span);
     }
 

@@ -10,7 +10,6 @@
 
 #include "engine/master_engine.h"
 #include "engine/metrics.h"
-#include "engine/trace.h"
 #include "engine/types.h"
 #include "engine/worker_engine.h"
 #include "faasflow/admission.h"
@@ -18,6 +17,7 @@
 #include "obs/profile.h"
 #include "obs/slo.h"
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "sim/fault_schedule.h"
 #include "workflow/wdl.h"
 
@@ -235,7 +235,7 @@ class System
 
     /** Activity recorder; call trace().enable() before invoking to
      *  collect Chrome-trace timelines of every span. */
-    engine::TraceRecorder& trace() { return trace_; }
+    obs::TraceRecorder& trace() { return trace_; }
 
     /** Resource-telemetry sampler: per-worker core/memory/container and
      *  NIC gauges plus storage-node depth, on the configured cadence.
@@ -301,7 +301,7 @@ class System
     std::map<std::string, std::unique_ptr<WorkflowState>> workflows_;
     std::map<uint64_t, std::unique_ptr<engine::Invocation>> invocations_;
     engine::MetricsCollector metrics_;
-    engine::TraceRecorder trace_;
+    obs::TraceRecorder trace_;
     obs::TelemetrySampler telemetry_;
     obs::ProfileStore profile_;
     obs::SloMonitor slo_;
@@ -320,9 +320,9 @@ class System
 
     /** Open "fault" crash-window spans, one slot per worker (0 = none);
      *  opened at crashWorker, closed at restoreWorker. */
-    std::vector<engine::SpanId> worker_crash_span_;
+    std::vector<obs::SpanId> worker_crash_span_;
     /** Open master crash-window span (0 = none). */
-    engine::SpanId master_crash_span_ = 0;
+    obs::SpanId master_crash_span_ = 0;
 
     /** Master-failover state. */
     bool master_down_ = false;

@@ -228,7 +228,7 @@ RollingWindow::record(SimTime now, int64_t value, int64_t weight)
     advanceTo(index);
     const auto n = static_cast<int64_t>(ring_.size());
     if (index <= newest_index_ - n)
-        return;  // older than the ring (bounded-lookahead shard skew)
+        return;  // older than the ring
     Bucket& b = ring_[static_cast<size_t>(index % n)];
     ++b.count;
     b.value_sum += value;

@@ -27,7 +27,7 @@ namespace faasflow::obs {
  * The merge is a bin-wise (and sum/max/count-wise) addition: associative
  * and commutative, so folding per-domain histograms in *any* order
  * yields bit-identical state — the property that keeps profile digests
- * equal across campaign thread counts and ShardedSim shard counts.
+ * equal across campaign thread counts.
  */
 class LogHistogram
 {
@@ -88,9 +88,7 @@ class LogHistogram
  * keyed by absolute bucket index (now / width); advancing to a newer
  * index lazily clears the slots in between — no scheduled events, so
  * the window machinery is sim-inert by construction. Samples older than
- * the ring (possible only across parallel-shard skew, which is bounded
- * by the lookahead — orders of magnitude below a bucket width) are
- * counted but not windowed.
+ * the ring are counted but not windowed.
  */
 class RollingWindow
 {
@@ -175,9 +173,8 @@ struct EdgeAnomaly
  *
  * Determinism: every per-key aggregate is a commutative fold (histogram
  * bin adds, sums, maxes), keys live in ordered maps, and digest() walks
- * them in that domain order — so merging per-run stores in any order,
- * or recording from any shard interleaving, produces one bit-identical
- * digest.
+ * them in that domain order — so merging per-run stores in any order
+ * produces one bit-identical digest.
  */
 class ProfileStore
 {
@@ -237,7 +234,7 @@ class ProfileStore
     void merge(const ProfileStore& other);
 
     /** FNV-1a over all aggregates, keys walked in domain (sorted map)
-     *  order. Equal across any merge order / shard interleaving. */
+     *  order. Equal across any merge order. */
     uint64_t digest() const;
 
     uint64_t nodeSampleCount() const { return node_samples_; }

@@ -42,7 +42,7 @@ class EventQueue
     using Callback = InlineFunction<void(), 48>;
 
     /** Lifetime health counters — cheap enough to keep always-on, and
-     *  surfaced through `faasflow_bench --stats` / telemetry so queue
+     *  surfaced through `faasflow_run --stats` / telemetry so queue
      *  pathologies (cancel churn, compaction storms) are diagnosable. */
     struct Stats
     {

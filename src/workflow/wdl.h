@@ -188,7 +188,7 @@ struct WdlResult
  *     big_multiplier: 2.0
  *     slow_nic_fraction: 0.1    # share of nodes with degraded NICs
  *     slow_nic_multiplier: 0.25
- *     hop_latency_ms: 0.5       # one-way cross-node latency (lookahead)
+ *     hop_latency_ms: 0.5       # one-way cross-node latency
  *
  * A top-level `durability:` block opts the run into the durable
  * progress log at a chosen latency-vs-durability point (DESIGN.md §8.5):

@@ -10,9 +10,7 @@
 
 #include "baseline.h"
 #include "json/json.h"
-#include "legacy.h"
 #include "runner.h"
-#include "schema.h"
 
 namespace faasflow::bench {
 namespace {
@@ -384,80 +382,17 @@ TEST(BaselineRefresh, PinsDeterministicDropsLooseInfoAndRoundTrips)
     ASSERT_NE(tput, nullptr);
     EXPECT_FALSE(tput->rel.has_value());  // timing -> default_rel
     EXPECT_EQ(sec->findMetric("loose_note"), nullptr);
-    // A refreshed baseline immediately accepts the run it came from.
-    EXPECT_TRUE(compareReport(report, *parsed.baseline).ok());
+    // A refreshed baseline immediately accepts the run it came from,
+    // without warning about the loose info metric it left out.
+    const CompareResult self = compareReport(report, *parsed.baseline);
+    EXPECT_TRUE(self.ok());
+    EXPECT_TRUE(self.warnings.empty())
+        << self.warnings.size() << " warning(s), first: "
+        << (self.warnings.empty() ? "" : self.warnings.front());
     // ...and rejects a perturbation of the pinned metric.
     RunReport perturbed = report;
     perturbed.sections[0].metrics[0].value += 1e-9;
     EXPECT_FALSE(compareReport(perturbed, *parsed.baseline).ok());
-}
-
-// ---------------------------------------------------------------------
-// Legacy migration
-
-TEST(Legacy, MigratesHotpathsAndLoadIntoSchemaOne)
-{
-    const char* hotpaths = R"({
-        "events_per_sec_shallow": 16791962.0,
-        "events_per_sec_deep": 6907082.0,
-        "flows_per_sec": 329097.0,
-        "fig12_sweep_wall_ms": 100.0,
-        "campaign_wall_ms_1_thread": 50.0,
-        "campaign_wall_ms_n_threads": 30.0,
-        "trace_off_wall_ms": 10.0,
-        "trace_on_wall_ms": 12.0,
-        "campaign_jobs": 4,
-        "campaign_threads": 2,
-        "campaign_bit_identical": true,
-        "trace_spans": 1234,
-        "seed_baseline": {"events_per_sec_shallow": 6305236.0}
-    })";
-    const char* load = R"({
-        "horizon_s": 120, "slo_ms": 10000, "seed": 42,
-        "knee_multiplier": 1.0,
-        "points": [{
-            "multiplier": 0.5, "admission": false,
-            "offered_per_s": 1.0, "goodput_per_s": 0.9, "p99_ms": 50.0,
-            "tenants": [{"tenant": "vid", "goodput_per_s": 0.3,
-                         "p99_ms": 40.0, "shed": 0}]
-        }]
-    })";
-    const MigrateResult result = migrateLegacy(
-        json::parseOrDie(hotpaths), json::parseOrDie(load));
-    ASSERT_TRUE(result.ok()) << result.error;
-    EXPECT_TRUE(validateBenchReport(*result.doc).empty());
-    const json::Value& sections = *result.doc->find("sections");
-    ASSERT_EQ(sections.asArray().size(), 2u);
-    const json::Value& hp = sections.asArray()[0];
-    EXPECT_EQ(hp.find("name")->asString(), "perf_hotpaths");
-    const json::Value& hp_metrics = *hp.find("metrics");
-    EXPECT_EQ(hp_metrics.find("events_per_sec_shallow")
-                  ->find("value")
-                  ->asDouble(),
-              16791962.0);
-    EXPECT_EQ(hp_metrics.find("events_per_sec_shallow")
-                  ->find("dir")
-                  ->asString(),
-              "higher");
-    // Seed anchors survive as info metrics.
-    ASSERT_NE(hp_metrics.find("seed_events_per_sec_shallow"), nullptr);
-    const json::Value& ld = sections.asArray()[1];
-    EXPECT_EQ(ld.find("name")->asString(), "load_saturation");
-    const json::Value& ld_metrics = *ld.find("metrics");
-    ASSERT_NE(ld_metrics.find("m0.50_off_goodput_per_s"), nullptr);
-    EXPECT_EQ(ld_metrics.find("m0.50_off_p99_ms")->find("dir")->asString(),
-              "lower");
-    ASSERT_NE(ld_metrics.find("m0.50_off_vid_p99_ms"), nullptr);
-}
-
-TEST(Legacy, RejectsUnrecognisableDocuments)
-{
-    EXPECT_FALSE(migrateHotpaths(json::parseOrDie("[]")).ok());
-    EXPECT_FALSE(migrateHotpaths(json::parseOrDie("{}")).ok());
-    EXPECT_FALSE(migrateLoad(json::parseOrDie("{}")).ok());
-    EXPECT_FALSE(
-        migrateLoad(json::parseOrDie(R"({"points": [{"admission": true}]})"))
-            .ok());
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ TEST(Registry, EveryFormerBenchBinaryIsRegistered)
         names.push_back(s.name);
     const std::vector<std::string> expected = {
         "ablation_modes",
-        "cluster_scale",
         "coldstart_policies",
         "durability_frontier",
         "fig04_mastersp_overhead",
@@ -53,7 +52,6 @@ TEST(Registry, EveryFormerBenchBinaryIsRegistered)
         "fig16_scheduler_scalability",
         "generated_dags",
         "load_saturation",
-        "micro_substrates",
         "perf_hotpaths",
         "sec57_component_overhead",
         "table2_vendor_quotas",
@@ -302,7 +300,7 @@ class SmokeRun : public ::testing::Test
 TEST_F(SmokeRun, EverySectionCompletesAndReportIsSchemaValid)
 {
     const RunReport report = run(1);
-    EXPECT_EQ(report.sections.size(), 19u);
+    EXPECT_EQ(report.sections.size(), 17u);
     const json::Value doc = reportJson(report);
     const std::vector<std::string> violations = validateBenchReport(doc);
     EXPECT_TRUE(violations.empty())

@@ -1,10 +1,12 @@
 /** @file Tests for the cluster substrate: function registry, container
  *  pool policy (cold start / warm reuse / lifetime / limits / red-black),
- *  and worker-node core & memory accounting. */
+ *  worker-node core & memory accounting, and the seeded fleet
+ *  generator. */
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
 #include "cluster/container_pool.h"
+#include "cluster/fleet.h"
 #include "cluster/function.h"
 #include "cluster/node.h"
 #include "common/stats.h"
@@ -369,6 +371,65 @@ TEST(ClusterTest, StorageBandwidthThrottle)
                   25 * kMB, [&](SimTime t) { elapsed = t; });
     sim.run();
     EXPECT_NEAR(elapsed.secondsF(), 1.0, 1e-6);
+}
+
+// Seeded heterogeneous fleets (the WDL cluster: block).
+
+TEST(FleetTest, GeneratorIsSeededAndDeterministic)
+{
+    FleetSpec spec;
+    spec.nodes = 500;
+    spec.seed = 11;
+    spec.big_node_fraction = 0.25;
+    spec.slow_nic_fraction = 0.1;
+    const auto a = generateFleet(spec);
+    const auto b = generateFleet(spec);
+    ASSERT_EQ(a.size(), 500u);
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].cores, b[i].cores);
+        EXPECT_EQ(a[i].bandwidth, b[i].bandwidth);
+    }
+    const FleetSummary s = summarizeFleet(a);
+    EXPECT_GT(s.big_nodes, 50u);   // ~125 expected
+    EXPECT_LT(s.big_nodes, 250u);
+    EXPECT_GT(s.slow_nics, 10u);   // ~50 expected
+    EXPECT_LT(s.slow_nics, 150u);
+    EXPECT_EQ(s.total_cores,
+              500u * 8u + static_cast<uint64_t>(s.big_nodes) * 8u);
+
+    spec.seed = 12;
+    const auto c = generateFleet(spec);
+    bool differs = false;
+    for (size_t i = 0; i < a.size(); ++i)
+        differs = differs || a[i].cores != c[i].cores;
+    EXPECT_TRUE(differs);
+}
+
+TEST(FleetTest, UniformSpecReproducesBaseline)
+{
+    FleetSpec spec;
+    spec.nodes = 16;
+    const auto profiles = generateFleet(spec);
+    for (const NodeProfile& p : profiles) {
+        EXPECT_EQ(p.cores, spec.base_cores);
+        EXPECT_EQ(p.memory, spec.base_memory);
+        EXPECT_EQ(p.bandwidth, spec.base_bandwidth);
+    }
+}
+
+TEST(FleetTest, ApplyFleetFillsClusterOverrides)
+{
+    FleetSpec spec;
+    spec.nodes = 12;
+    spec.big_node_fraction = 0.5;
+    spec.seed = 3;
+    const auto profiles = generateFleet(spec);
+    Cluster::Config config;
+    applyFleet(profiles, config);
+    EXPECT_EQ(config.worker_count, 12);
+    ASSERT_EQ(config.node_overrides.size(), 12u);
+    for (size_t i = 0; i < profiles.size(); ++i)
+        EXPECT_EQ(config.node_overrides[i].cores, profiles[i].cores);
 }
 
 }  // namespace

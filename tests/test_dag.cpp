@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "workflow/analysis.h"
 #include "workflow/dag.h"
 
@@ -213,7 +214,7 @@ TEST_P(DagPropertyTest, RandomDagInvariants)
     Dag dag("rand");
     const int n = 5 + static_cast<int>(rng.uniformInt(0, 30));
     for (int i = 0; i < n; ++i) {
-        dag.addNode(task("n" + std::to_string(i),
+        dag.addNode(task(strFormat("n%d", i),
                          static_cast<double>(rng.uniformInt(10, 500))));
     }
     for (int i = 0; i < n; ++i) {

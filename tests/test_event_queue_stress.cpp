@@ -70,8 +70,9 @@ TEST(EventQueueStressTest, CompactionPreservesSurvivors)
             q.schedule(SimTime::micros(i), [&fired, i] { fired.push_back(i); }));
     }
     for (int i = 0; i < n; ++i) {
-        if (i % 16 != 0)
+        if (i % 16 != 0) {
             EXPECT_TRUE(q.cancel(ids[static_cast<size_t>(i)]));
+        }
     }
     EXPECT_EQ(q.liveCount(), static_cast<size_t>(n / 16));
     SimTime when;

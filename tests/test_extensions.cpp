@@ -5,9 +5,9 @@
 #include "benchmarks/specs.h"
 #include "common/flags.h"
 #include "common/units.h"
-#include "engine/trace.h"
 #include "faasflow/client.h"
 #include "faasflow/system.h"
+#include "obs/trace.h"
 #include "workflow/analysis.h"
 #include "workflow/builder.h"
 #include "workflow/serialize.h"
@@ -80,14 +80,14 @@ TEST(SerializeTest, RejectsCorruptDocuments)
 
 TEST(TraceTest, DisabledRecorderIsFree)
 {
-    engine::TraceRecorder trace;
+    obs::TraceRecorder trace;
     trace.span("c", "n", 0, SimTime::zero(), SimTime::millis(1));
     EXPECT_EQ(trace.eventCount(), 0u);
 }
 
 TEST(TraceTest, ChromeTraceFormat)
 {
-    engine::TraceRecorder trace;
+    obs::TraceRecorder trace;
     trace.enable();
     trace.span("node", "fn_a", 8, SimTime::millis(10), SimTime::millis(25),
                "width=2");
@@ -140,7 +140,7 @@ TEST(TraceTest, SystemProducesInvocationTimeline)
 
 TEST(TraceDeathTest, BackwardsSpanPanics)
 {
-    engine::TraceRecorder trace;
+    obs::TraceRecorder trace;
     trace.enable();
     EXPECT_DEATH(trace.span("c", "n", 0, SimTime::millis(2),
                             SimTime::millis(1)),

@@ -1,6 +1,10 @@
 /** @file Tests for the from-scratch JSON parser/serializer. */
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "json/json.h"
 
 namespace faasflow::json {
@@ -79,6 +83,25 @@ struct BadInput
     const char* why;
 };
 
+// Each case prints as, and is named by, its `why` text, so test names
+// never carry the addresses of the string literals.
+void
+PrintTo(const BadInput& c, std::ostream* os)
+{
+    *os << c.why;
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<BadInput>& info)
+{
+    std::string name = info.param.why;
+    for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch)))
+            ch = '_';
+    }
+    return name;
+}
+
 class JsonErrorTest : public ::testing::TestWithParam<BadInput>
 {
 };
@@ -104,7 +127,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"[1] []", "two documents"},
         BadInput{"\"\\q\"", "bad escape"},
         BadInput{"\"\\u12g4\"", "bad hex"},
-        BadInput{"{\"a\":1,}", "trailing comma"}));
+        BadInput{"{\"a\":1,}", "trailing comma"}),
+    caseName);
 
 TEST(JsonDumpTest, CompactRoundTrip)
 {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/units.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -71,7 +72,7 @@ TEST(NetworkTest, StorageNodeIngressIsTheSharedBottleneck)
     std::vector<NodeId> workers;
     for (int i = 0; i < 5; ++i) {
         workers.push_back(
-            f.net.addNode("w" + std::to_string(i), 100e6, 100e6));
+            f.net.addNode(strFormat("w%d", i), 100e6, 100e6));
     }
     int done = 0;
     SimTime last;
@@ -270,7 +271,7 @@ TEST_P(NetworkPropertyTest, AllFlowsCompleteAndConserveBytes)
     Network net(sim);
     const int nodes = 4 + static_cast<int>(rng.uniformInt(0, 4));
     for (int i = 0; i < nodes; ++i) {
-        net.addNode("n" + std::to_string(i), rng.uniform(10e6, 200e6),
+        net.addNode(strFormat("n%d", i), rng.uniform(10e6, 200e6),
                     rng.uniform(10e6, 200e6));
     }
     const int flows = 20;
@@ -352,7 +353,7 @@ TEST_P(NetworkOracleTest, IncrementalRatesMatchFullRecomputeUnderChurn)
     Network net(sim, config);
     const int nodes = 5 + static_cast<int>(rng.uniformInt(0, 3));
     for (int i = 0; i < nodes; ++i) {
-        net.addNode("n" + std::to_string(i), rng.uniform(20e6, 200e6),
+        net.addNode(strFormat("n%d", i), rng.uniform(20e6, 200e6),
                     rng.uniform(20e6, 200e6));
     }
     int completed = 0;

@@ -138,7 +138,7 @@ TEST(SpanTreeTest, ValidatorCatchesSyntheticViolations)
 
 TEST(TraceJsonTest, EscapedDetailSurvivesExportAndIngest)
 {
-    engine::TraceRecorder trace;
+    obs::TraceRecorder trace;
     trace.enable();
     const std::string nasty = "q\"uote \\slash\nnewline\ttab \x01ctrl";
     const obs::SpanId id =
@@ -281,20 +281,20 @@ TEST(FaultSpanTest, InjectedFaultsLandOnTheirTracks)
             crash_on_worker |= span.track == engine::workerTrack(1);
         if (span.category == "fault" && span.name == "brownout") {
             brownout_on_storage |=
-                span.track == static_cast<int>(engine::TraceTrack::Storage);
+                span.track == static_cast<int>(obs::TraceTrack::Storage);
         }
         if (span.category == "fault" && span.name == "link-outage")
             outage_on_net |=
-                span.track == static_cast<int>(engine::TraceTrack::Net);
+                span.track == static_cast<int>(obs::TraceTrack::Net);
         if (span.category == "fault" &&
             (span.name == "link-up" || span.name == "link-down")) {
             link_instants_on_net &=
-                span.track == static_cast<int>(engine::TraceTrack::Net);
+                span.track == static_cast<int>(obs::TraceTrack::Net);
         }
         if (span.category == "recovery" &&
             span.name.rfind("detect", 0) == 0) {
             detect_on_master |=
-                span.track == static_cast<int>(engine::TraceTrack::Master);
+                span.track == static_cast<int>(obs::TraceTrack::Master);
         }
     }
     EXPECT_TRUE(crash_on_worker);
@@ -329,7 +329,7 @@ TEST(FaultSpanTest, MasterCrashWindowOnMasterTrack)
     for (const auto& span : model.spans) {
         if (span.category == "fault" && span.name == "master-crash") {
             EXPECT_EQ(span.track,
-                      static_cast<int>(engine::TraceTrack::Master));
+                      static_cast<int>(obs::TraceTrack::Master));
             EXPECT_GT(span.durUs(), 0);
             window = true;
         }

@@ -1,7 +1,7 @@
 /** @file Tests for the online profile store: log-scale histogram
  *  algebra (merge associativity/commutativity), digest order-
- *  independence, campaign and sharded-fleet digest bit-identity, and
- *  the chaos-vs-golden anomaly detector. */
+ *  independence, campaign digest bit-identity, and the chaos-vs-golden
+ *  anomaly detector. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "faasflow/client.h"
 #include "faasflow/system.h"
 #include "workflow/wdl.h"
-#include "load/fleet.h"
 #include "obs/profile.h"
 #include "sim/fault_schedule.h"
 
@@ -310,40 +309,6 @@ TEST(ProfileStoreTest, CampaignDigestsIdenticalAcrossThreadCounts)
     }
     EXPECT_EQ(merged_seq.digest(), merged_par.digest());
     EXPECT_GT(merged_seq.nodeSampleCount(), 0u);
-}
-
-TEST(ProfileStoreTest, FleetProfileDigestIdenticalAcrossShardCounts)
-{
-    auto fleetConfig = [](uint32_t shards, uint32_t threads) {
-        load::FleetSimConfig config;
-        config.fleet.nodes = 50;
-        config.fleet.seed = 7;
-        config.fleet.big_node_fraction = 0.2;
-        config.fleet.slow_nic_fraction = 0.1;
-        config.shards = shards;
-        config.threads = threads;
-        config.check_lookahead = true;
-        config.arrivals.rate_per_min = 6000;  // 100/s
-        config.horizon = SimTime::seconds(2);
-        config.stages = 2;
-        config.exec_mean_ms = 10.0;
-        config.seed = 99;
-        config.profile = true;
-        return config;
-    };
-    load::FleetSim golden_sim(fleetConfig(1, 1));
-    const load::FleetSimResult golden = golden_sim.run();
-    EXPECT_NE(golden.profile_digest, 0u);
-    EXPECT_EQ(golden_sim.profile().tenants().count("fleet"), 1u);
-    for (const uint32_t shards : {4u, 16u}) {
-        for (const uint32_t threads : {1u, 4u}) {
-            load::FleetSim sim(fleetConfig(shards, threads));
-            const load::FleetSimResult r = sim.run();
-            EXPECT_EQ(r.profile_digest, golden.profile_digest)
-                << "shards=" << shards << " threads=" << threads;
-            EXPECT_EQ(r.model_digest, golden.model_digest);
-        }
-    }
 }
 
 // ---------------------------------------------------------- Exporters

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -114,6 +115,16 @@ struct Param
     bool victim_in_flight;
     bool master;
 };
+
+// gtest would otherwise print a Param as its raw bytes (pointers and
+// padding), which differ from run to run.
+void
+PrintTo(const Param& p, std::ostream* os)
+{
+    *os << p.label << "{victim=" << p.victim_node
+        << ",crash_ms=" << p.crash_ms << ","
+        << (p.master ? "MasterSP" : "WorkerSP") << "}";
+}
 
 std::string
 paramName(const ::testing::TestParamInfo<Param>& info)
@@ -546,13 +557,15 @@ TEST_P(LostNodeSetPropertyTest, ClosureIsSoundCompleteAndMinimal)
                 wf.placement->workerOf(node.id) == crashed;
 
             // Sound: every unfinished node on the dead worker re-runs.
-            if (on_crashed && !inv.node_done[i])
+            if (on_crashed && !inv.node_done[i]) {
                 EXPECT_TRUE(rerun[i]) << node.name;
+            }
 
             // Surviving-worker *tasks* are never re-executed — only
             // zero-cost virtual fences may be re-driven elsewhere.
-            if (!on_crashed && node.isTask())
+            if (!on_crashed && node.isTask()) {
                 EXPECT_FALSE(rerun[i]) << node.name;
+            }
 
             // A done output that made it to the remote store is safe.
             if (node.isTask() && inv.node_done[i] &&

@@ -1,6 +1,10 @@
 /** @file Tests for the Workflow Definition Language parser. */
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "workflow/analysis.h"
 #include "workflow/wdl.h"
 
@@ -254,9 +258,29 @@ TEST(WdlTest, EdgeWeightSeededFromBandwidthEstimate)
 
 struct BadWdl
 {
+    const char* why;
     const char* yaml;
     const char* expect_error;
 };
+
+// Each case prints as, and is named by, its `why` text, so test names
+// never carry the addresses of the string literals.
+void
+PrintTo(const BadWdl& c, std::ostream* os)
+{
+    *os << c.why;
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<BadWdl>& info)
+{
+    std::string name = info.param.why;
+    for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch)))
+            ch = '_';
+    }
+    return name;
+}
 
 class WdlErrorTest : public ::testing::TestWithParam<BadWdl>
 {
@@ -273,17 +297,22 @@ TEST_P(WdlErrorTest, RejectsInvalidDefinitions)
 INSTANTIATE_TEST_SUITE_P(
     Malformed, WdlErrorTest,
     ::testing::Values(
-        BadWdl{"name: x\n", "steps"},
-        BadWdl{"name: x\nsteps: []\n", "non-empty"},
-        BadWdl{"name: x\nsteps:\n  - bogus: y\n", "unknown step"},
-        BadWdl{"name: x\nsteps:\n  - task: a\n    output_mb: -1\n",
+        BadWdl{"no steps", "name: x\n", "steps"},
+        BadWdl{"empty steps", "name: x\nsteps: []\n", "non-empty"},
+        BadWdl{"unknown step", "name: x\nsteps:\n  - bogus: y\n",
+               "unknown step"},
+        BadWdl{"negative output",
+               "name: x\nsteps:\n  - task: a\n    output_mb: -1\n",
                "negative"},
-        BadWdl{"name: x\nsteps:\n  - parallel:\n      branches: []\n",
+        BadWdl{"empty parallel",
+               "name: x\nsteps:\n  - parallel:\n      branches: []\n",
                "non-empty"},
-        BadWdl{"name: x\nsteps:\n  - foreach:\n      width: 0\n"
+        BadWdl{"zero foreach width",
+               "name: x\nsteps:\n  - foreach:\n      width: 0\n"
                "      steps:\n        - task: a\n",
                "width"},
-        BadWdl{"name: x\nsteps:\n  - switch:\n      branches:\n"
+        BadWdl{"nested switch",
+               "name: x\nsteps:\n  - switch:\n      branches:\n"
                "        - steps:\n"
                "            - switch:\n"
                "                branches:\n"
@@ -292,7 +321,8 @@ INSTANTIATE_TEST_SUITE_P(
                "        - steps:\n"
                "            - task: b\n",
                "nested switch"},
-        BadWdl{"- 1\n- 2\n", "mapping"}));
+        BadWdl{"sequence root", "- 1\n- 2\n", "mapping"}),
+    caseName);
 
 TEST(WdlTest, DurabilityBlockParsesAndRejectsUnknownKeys)
 {

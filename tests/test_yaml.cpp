@@ -1,6 +1,10 @@
 /** @file Tests for the YAML-subset parser. */
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "yamllite/yaml.h"
 
 namespace faasflow::yaml {
@@ -185,6 +189,25 @@ struct BadYaml
     const char* why;
 };
 
+// Each case prints as, and is named by, its `why` text, so test names
+// never carry the addresses of the string literals.
+void
+PrintTo(const BadYaml& c, std::ostream* os)
+{
+    *os << c.why;
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<BadYaml>& info)
+{
+    std::string name = info.param.why;
+    for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch)))
+            ch = '_';
+    }
+    return name;
+}
+
 class YamlErrorTest : public ::testing::TestWithParam<BadYaml>
 {
 };
@@ -206,7 +229,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadYaml{"a: {x: 1\n", "unterminated flow map"},
         BadYaml{"a: \"unterminated\n", "unterminated quote"},
         BadYaml{"key without colon\n", "missing colon"},
-        BadYaml{"a: 1\n  b: 2\n", "bad indent jump"}));
+        BadYaml{"a: 1\n  b: 2\n", "bad indent jump"}),
+    caseName);
 
 TEST(YamlLineNumberTest, ErrorsCarryLines)
 {

@@ -9,7 +9,6 @@
  *   faasflow_bench --suite load --out BENCH.json
  *   faasflow_bench --smoke --reps 3 --compare bench/BASELINE.json
  *   faasflow_bench --smoke --refresh-baseline bench/BASELINE.json
- *   faasflow_bench --migrate old_hotpaths.json old_load.json --out BENCH.json
  *
  * `--compare` ratchets the run against the checked-in baseline with
  * direction-aware tolerance bands (exit 1 on regression); `--reps N`
@@ -23,7 +22,6 @@
 
 #include "baseline.h"
 #include "common/flags.h"
-#include "legacy.h"
 #include "registry.h"
 #include "runner.h"
 #include "schema.h"
@@ -74,57 +72,6 @@ splitCommas(const std::string& text)
     return out;
 }
 
-int
-runMigrate(const std::vector<std::string>& paths, const std::string& out_path)
-{
-    if (paths.empty() || paths.size() > 2) {
-        std::fprintf(stderr,
-                     "error: --migrate takes the legacy BENCH_hotpaths.json "
-                     "and/or BENCH_load.json as positional arguments\n");
-        return 2;
-    }
-    json::Value hotpaths;  // null = absent
-    json::Value load;
-    for (const std::string& path : paths) {
-        std::string error;
-        const std::string text = readFile(path, error);
-        if (!error.empty()) {
-            std::fprintf(stderr, "error: %s\n", error.c_str());
-            return 1;
-        }
-        json::ParseResult parsed = json::parse(text);
-        if (!parsed.ok()) {
-            std::fprintf(stderr, "error: %s line %zu: %s\n", path.c_str(),
-                         parsed.line, parsed.error.c_str());
-            return 1;
-        }
-        // The load file carries points[]; the hotpaths file is flat.
-        if (parsed.value->find("points"))
-            load = std::move(*parsed.value);
-        else
-            hotpaths = std::move(*parsed.value);
-    }
-    bench::MigrateResult migrated = bench::migrateLegacy(hotpaths, load);
-    if (!migrated.ok()) {
-        std::fprintf(stderr, "error: %s\n", migrated.error.c_str());
-        return 1;
-    }
-    const std::vector<std::string> violations =
-        bench::validateBenchReport(*migrated.doc);
-    for (const std::string& v : violations)
-        std::fprintf(stderr, "schema violation: %s\n", v.c_str());
-    if (!violations.empty())
-        return 1;
-    const std::string text = migrated.doc->dump(2) + "\n";
-    if (!writeFile(out_path, text)) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
-        return 1;
-    }
-    std::printf("migrated %zu legacy file(s) -> %s\n", paths.size(),
-                out_path.c_str());
-    return 0;
-}
-
 }  // namespace
 
 int
@@ -158,13 +105,7 @@ main(int argc, char** argv)
                     "write a fresh baseline derived from this run here");
     flags.addDouble("default-rel", 0.25,
                     "default relative tolerance for --refresh-baseline");
-    flags.addBool("migrate", false,
-                  "convert legacy BENCH_hotpaths.json/BENCH_load.json "
-                  "(positional) into --out");
     flags.addBool("quiet", false, "suppress per-section console output");
-    flags.addBool("stats", false,
-                  "print section health counters (per-shard events, "
-                  "lookahead stalls, queue compaction)");
 
     if (!flags.parse(argc, argv)) {
         std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),
@@ -176,8 +117,6 @@ main(int argc, char** argv)
         return 0;
     }
 
-    if (flags.getBool("migrate"))
-        return runMigrate(flags.positional(), flags.getString("out"));
     if (!flags.positional().empty()) {
         std::fprintf(stderr, "error: unexpected argument '%s'\n",
                      flags.positional()[0].c_str());
@@ -203,7 +142,6 @@ main(int argc, char** argv)
     options.reps = static_cast<int>(flags.getInt("reps"));
     options.budget_ms = flags.getInt("budget-ms");
     options.threads = static_cast<unsigned>(flags.getInt("threads"));
-    options.stats = flags.getBool("stats");
     options.verbose = !flags.getBool("quiet");
     if (options.reps < 1) {
         std::fprintf(stderr, "error: --reps must be >= 1\n");
