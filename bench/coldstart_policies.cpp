@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 
 namespace {
 
@@ -69,76 +69,63 @@ runPolicy(cluster::KeepAlivePolicy policy, size_t arrivals)
 namespace faasflow::bench {
 
 void
-registerColdstartPolicies(Registry& registry)
+runColdstartPolicies(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "coldstart_policies", "ablation",
-        "keep-alive policies under memory pressure (AlwaysCold / "
-        "FixedLifetime / GreedyDual / NeverEvict)",
-        [](const RunOptions& opts, Report& report) {
-            const size_t arrivals = opts.scaled(150, 40);
+    const size_t arrivals = opts.scaled(150, 40);
 
-            std::printf(
-                "Keep-alive policy comparison: 4 real-world workflows, "
-                "open loop 30 inv/min each,\nsmall (5 GB) workers so warm "
-                "containers contend for memory\n\n");
+    std::printf(
+        "Keep-alive policy comparison: 4 real-world workflows, "
+        "open loop 30 inv/min each,\nsmall (5 GB) workers so warm "
+        "containers contend for memory\n\n");
 
-            TextTable table;
-            table.setHeader({"policy", "cold starts", "warm hits",
-                             "pressure evictions", "mean e2e (ms)",
-                             "p99 e2e (ms)"});
-            struct Named
-            {
-                const char* label;
-                const char* key;
-                cluster::KeepAlivePolicy policy;
-            };
-            for (const Named named :
-                 {Named{"AlwaysCold (no reuse)", "alwayscold",
-                        cluster::KeepAlivePolicy::AlwaysCold},
-                  Named{"FixedLifetime 600s (paper)", "fixedlifetime",
-                        cluster::KeepAlivePolicy::FixedLifetime},
-                  Named{"GreedyDual (FaasCache)", "greedydual",
-                        cluster::KeepAlivePolicy::GreedyDual},
-                  Named{"NeverEvict (upper bound)", "neverevict",
-                        cluster::KeepAlivePolicy::NeverEvict}}) {
-                if (opts.budgetExpired()) {
-                    report.truncated();
-                    break;
-                }
-                const PolicyResult r = runPolicy(named.policy, arrivals);
-                report.info(
-                    strFormat("%s_cold_starts", named.key),
-                    static_cast<double>(r.cold_starts));
-                report.info(strFormat("%s_warm_hits", named.key),
-                            static_cast<double>(r.warm_hits));
-                report.info(strFormat("%s_evictions", named.key),
-                            static_cast<double>(r.evictions));
-                report.lower(strFormat("%s_mean_ms", named.key),
-                             r.mean_ms, true);
-                report.lower(strFormat("%s_p99_ms", named.key), r.p99_ms,
-                             true);
-                table.addRow(
-                    {named.label,
-                     strFormat("%llu", static_cast<unsigned long long>(
-                                           r.cold_starts)),
-                     strFormat("%llu", static_cast<unsigned long long>(
-                                           r.warm_hits)),
-                     strFormat("%llu", static_cast<unsigned long long>(
-                                           r.evictions)),
-                     ms(r.mean_ms), ms(r.p99_ms)});
-            }
-            std::printf("%s\n", table.str().c_str());
-            std::printf(
-                "-> AlwaysCold pays a cold start on every invocation. "
-                "FixedLifetime avoids cold starts but\n   idle containers "
-                "pin memory until the 600 s timer, starving other "
-                "functions' creations\n   under pressure (queueing drives "
-                "the tail into the 60 s timeout). Greedy-Dual reclaims "
-                "the\n   least valuable idle container on demand and "
-                "approaches the NeverEvict upper bound while\n   still "
-                "bounding memory.\n");
-        }});
+    TextTable table;
+    table.setHeader({"policy", "cold starts", "warm hits",
+                     "pressure evictions", "mean e2e (ms)",
+                     "p99 e2e (ms)"});
+    struct Named
+    {
+        const char* label;
+        const char* key;
+        cluster::KeepAlivePolicy policy;
+    };
+    for (const Named named :
+         {Named{"AlwaysCold (no reuse)", "alwayscold",
+                cluster::KeepAlivePolicy::AlwaysCold},
+          Named{"FixedLifetime 600s (paper)", "fixedlifetime",
+                cluster::KeepAlivePolicy::FixedLifetime},
+          Named{"GreedyDual (FaasCache)", "greedydual",
+                cluster::KeepAlivePolicy::GreedyDual},
+          Named{"NeverEvict (upper bound)", "neverevict",
+                cluster::KeepAlivePolicy::NeverEvict}}) {
+        const PolicyResult r = runPolicy(named.policy, arrivals);
+        report.pin(strFormat("%s_cold_starts", named.key),
+                   static_cast<double>(r.cold_starts));
+        report.pin(strFormat("%s_warm_hits", named.key),
+                   static_cast<double>(r.warm_hits));
+        report.pin(strFormat("%s_evictions", named.key),
+                   static_cast<double>(r.evictions));
+        report.pin(strFormat("%s_mean_ms", named.key), r.mean_ms);
+        report.pin(strFormat("%s_p99_ms", named.key), r.p99_ms);
+        table.addRow(
+            {named.label,
+             strFormat("%llu", static_cast<unsigned long long>(
+                                   r.cold_starts)),
+             strFormat("%llu", static_cast<unsigned long long>(
+                                   r.warm_hits)),
+             strFormat("%llu", static_cast<unsigned long long>(
+                                   r.evictions)),
+             ms(r.mean_ms), ms(r.p99_ms)});
+    }
+    std::printf("%s\n", table.str().c_str());
+    std::printf(
+        "-> AlwaysCold pays a cold start on every invocation. "
+        "FixedLifetime avoids cold starts but\n   idle containers "
+        "pin memory until the 600 s timer, starving other "
+        "functions' creations\n   under pressure (queueing drives "
+        "the tail into the 60 s timeout). Greedy-Dual reclaims "
+        "the\n   least valuable idle container on demand and "
+        "approaches the NeverEvict upper bound while\n   still "
+        "bounding memory.\n");
 }
 
 }  // namespace faasflow::bench

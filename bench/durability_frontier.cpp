@@ -17,8 +17,8 @@
  * invocation with output digests byte-identical to its fault-free twin,
  * zero same-epoch duplicate executions and zero replay mismatches —
  * speculation may roll nodes back, never change observable outputs.
- * Those invariants are exported as exact-checked deterministic metrics,
- * so a violation becomes a baseline failure, not just a printed row.
+ * Those invariants are pinned, so a violation fails the section's
+ * golden check, not just a printed row.
  */
 #include <cstdio>
 #include <functional>
@@ -28,7 +28,7 @@
 
 #include "common/campaign.h"
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 #include "sim/fault_schedule.h"
 
 namespace {
@@ -208,113 +208,106 @@ runCell(const std::string& mode, const std::string& preset,
 namespace faasflow::bench {
 
 void
-registerDurabilityFrontier(Registry& registry)
+runDurabilityFrontier(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "durability_frontier", "ablation",
-        "p50/p99 e2e and rollback counts across {sync, group_commit, "
-        "speculative} x {none, light, storage-hostile}",
-        [](const RunOptions& opts, Report& report) {
-            const size_t invocations = opts.scaled(60, 10);
-            const benchmarks::Benchmark bench = [] {
-                for (const auto& b : benchmarks::allBenchmarks()) {
-                    if (b.name == "Vid")
-                        return b;
-                }
-                return benchmarks::allBenchmarks().front();
-            }();
+    const size_t invocations = opts.scaled(60, 10);
+    const benchmarks::Benchmark bench = [] {
+        for (const auto& b : benchmarks::allBenchmarks()) {
+            if (b.name == "Vid")
+                return b;
+        }
+        return benchmarks::allBenchmarks().front();
+    }();
 
-            const std::vector<std::string> modes = {"sync", "group_commit",
-                                                    "spec"};
-            // Label -> RandomFaultParams preset name.
-            const std::vector<std::pair<std::string, std::string>> presets =
-                {{"none", ""},
-                 {"light", "light"},
-                 {"hostile", "storage-hostile"}};
+    const std::vector<std::string> modes = {"sync", "group_commit",
+                                            "spec"};
+    // Label -> RandomFaultParams preset name.
+    const std::vector<std::pair<std::string, std::string>> presets =
+        {{"none", ""},
+         {"light", "light"},
+         {"hostile", "storage-hostile"}};
 
-            std::printf("durability frontier — %s, MasterSP durable log "
-                        "(20 ms WAL, 20 ms linger, 16-record batches), "
-                        "%.0f inv/min x %zu arrivals\n\n",
-                        bench.name.c_str(), kRatePerMinute, invocations);
+    std::printf("durability frontier — %s, MasterSP durable log "
+                "(20 ms WAL, 20 ms linger, 16-record batches), "
+                "%.0f inv/min x %zu arrivals\n\n",
+                bench.name.c_str(), kRatePerMinute, invocations);
 
-            // Every (mode, preset) cell is an independent simulation —
-            // fan them out through the campaign pool.
-            std::vector<std::function<CellResult()>> jobs;
-            for (const auto& mode : modes) {
-                for (const auto& [label, preset] : presets) {
-                    jobs.push_back([mode, preset, bench, invocations] {
-                        return runCell(mode, preset, bench, invocations);
-                    });
-                }
-            }
-            const std::vector<CellResult> cells =
-                runCampaign(jobs, opts.campaignWidth());
+    // Every (mode, preset) cell is an independent simulation —
+    // fan them out through the campaign pool.
+    std::vector<std::function<CellResult()>> jobs;
+    for (const auto& mode : modes) {
+        for (const auto& [label, preset] : presets) {
+            jobs.push_back([mode, preset, bench, invocations] {
+                return runCell(mode, preset, bench, invocations);
+            });
+        }
+    }
+    const std::vector<CellResult> cells =
+        runCampaign(jobs, opts.campaignWidth());
 
-            TextTable table;
-            table.setHeader({"mode", "faults", "done", "p50 (ms)",
-                             "p99 (ms)", "batches", "rollbacks",
-                             "rolledback", "mismatch"});
-            std::map<std::string, const CellResult*> by_key;
-            size_t job = 0;
-            for (const auto& mode : modes) {
-                for (const auto& [label, preset] : presets) {
-                    const CellResult& cell = cells[job++];
-                    by_key[mode + "_" + label] = &cell;
-                    table.addRow(
-                        {mode, label,
-                         strFormat("%zu/%zu", cell.completed, cell.expected),
-                         ms(cell.p50_ms), ms(cell.p99_ms),
-                         strFormat("%llu", static_cast<unsigned long long>(
-                                               cell.batches)),
-                         strFormat("%llu", static_cast<unsigned long long>(
-                                               cell.rollbacks)),
-                         strFormat("%llu",
-                                   static_cast<unsigned long long>(
-                                       cell.rolled_back_nodes)),
-                         strFormat("%llu",
-                                   static_cast<unsigned long long>(
-                                       cell.digest_misses +
-                                       cell.replay_mismatches))});
+    TextTable table;
+    table.setHeader({"mode", "faults", "done", "p50 (ms)",
+                     "p99 (ms)", "batches", "rollbacks",
+                     "rolledback", "mismatch"});
+    std::map<std::string, const CellResult*> by_key;
+    size_t job = 0;
+    for (const auto& mode : modes) {
+        for (const auto& [label, preset] : presets) {
+            const CellResult& cell = cells[job++];
+            by_key[mode + "_" + label] = &cell;
+            table.addRow(
+                {mode, label,
+                 strFormat("%zu/%zu", cell.completed, cell.expected),
+                 ms(cell.p50_ms), ms(cell.p99_ms),
+                 strFormat("%llu", static_cast<unsigned long long>(
+                                       cell.batches)),
+                 strFormat("%llu", static_cast<unsigned long long>(
+                                       cell.rollbacks)),
+                 strFormat("%llu",
+                           static_cast<unsigned long long>(
+                               cell.rolled_back_nodes)),
+                 strFormat("%llu",
+                           static_cast<unsigned long long>(
+                               cell.digest_misses +
+                               cell.replay_mismatches))});
 
-                    const std::string prefix = mode + "_" + label + "_";
-                    report.lower(prefix + "p50_ms", cell.p50_ms, true);
-                    report.lower(prefix + "p99_ms", cell.p99_ms, true);
-                    report.info(prefix + "rollbacks",
-                                static_cast<double>(cell.rollbacks));
-                    report.info(prefix + "rolled_back_nodes",
-                                static_cast<double>(
-                                    cell.rolled_back_nodes));
-                    // Exact-checked correctness invariants: any drift
-                    // from zero (or from full completion) fails the
-                    // baseline compare, not just this printout.
-                    report.info(prefix + "incomplete",
-                                static_cast<double>(cell.expected -
-                                                    cell.completed));
-                    report.info(prefix + "digest_misses",
-                                static_cast<double>(cell.digest_misses));
-                    report.info(prefix + "replay_mismatches",
-                                static_cast<double>(
-                                    cell.replay_mismatches));
-                    report.info(prefix + "duplicate_executions",
-                                static_cast<double>(
-                                    cell.duplicate_executions));
-                    report.info(prefix + "timeouts",
-                                static_cast<double>(cell.timeouts));
-                }
-            }
-            std::printf("%s\n", table.str().c_str());
+            const std::string prefix = mode + "_" + label + "_";
+            report.pin(prefix + "p50_ms", cell.p50_ms);
+            report.pin(prefix + "p99_ms", cell.p99_ms);
+            report.pin(prefix + "rollbacks",
+                       static_cast<double>(cell.rollbacks));
+            report.pin(prefix + "rolled_back_nodes",
+                       static_cast<double>(
+                           cell.rolled_back_nodes));
+            // Pinned correctness invariants: any drift from zero
+            // (or from full completion) fails the golden check,
+            // not just this printout.
+            report.pin(prefix + "incomplete",
+                       static_cast<double>(cell.expected -
+                                           cell.completed));
+            report.pin(prefix + "digest_misses",
+                       static_cast<double>(cell.digest_misses));
+            report.pin(prefix + "replay_mismatches",
+                       static_cast<double>(
+                           cell.replay_mismatches));
+            report.pin(prefix + "duplicate_executions",
+                       static_cast<double>(
+                           cell.duplicate_executions));
+            report.pin(prefix + "timeouts",
+                       static_cast<double>(cell.timeouts));
+        }
+    }
+    std::printf("%s\n", table.str().c_str());
 
-            // The headline frontier claim: with no faults injected,
-            // speculation buys back the latency sync spends waiting on
-            // WAL acks (ratchet: the ratio must stay above 1).
-            const double sync_p99 = by_key["sync_none"]->p99_ms;
-            const double spec_p99 = by_key["spec_none"]->p99_ms;
-            report.higher("fault_free_sync_over_spec_p99",
-                          sync_p99 / spec_p99, true);
-            std::printf("fault-free p99: sync %.1f ms vs speculative "
-                        "%.1f ms (%.2fx)\n",
-                        sync_p99, spec_p99, sync_p99 / spec_p99);
-        }});
+    // The headline frontier claim: with no faults injected,
+    // speculation buys back the latency sync spends waiting on
+    // WAL acks (the pinned ratio stays above 1).
+    const double sync_p99 = by_key["sync_none"]->p99_ms;
+    const double spec_p99 = by_key["spec_none"]->p99_ms;
+    report.pin("fault_free_sync_over_spec_p99", sync_p99 / spec_p99);
+    std::printf("fault-free p99: sync %.1f ms vs speculative "
+                "%.1f ms (%.2fx)\n",
+                sync_p99, spec_p99, sync_p99 / spec_p99);
 }
 
 }  // namespace faasflow::bench

@@ -11,60 +11,50 @@
 #include <cstdio>
 
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 
 namespace faasflow::bench {
 
 void
-registerFig05DataMovement(Registry& registry)
+runFig05DataMovement(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "fig05_data_movement", "figures",
-        "data movement: monolithic vs FaaS data-shipping (paper Fig. 5)",
-        [](const RunOptions& opts, Report& report) {
-            const size_t invocations = opts.scaled(20, 5);
+    const size_t invocations = opts.scaled(20, 5);
 
-            std::printf("Fig. 5 — data movement per invocation: "
-                        "monolithic vs FaaS data-shipping\n\n");
+    std::printf("Fig. 5 — data movement per invocation: "
+                "monolithic vs FaaS data-shipping\n\n");
 
-            TextTable table;
-            table.setHeader({"benchmark", "monolithic (MB)",
-                             "FaaS analytic (MB)", "FaaS measured (MB)",
-                             "amplification"});
+    TextTable table;
+    table.setHeader({"benchmark", "monolithic (MB)",
+                     "FaaS analytic (MB)", "FaaS measured (MB)",
+                     "amplification"});
 
-            for (const auto& bench : benchmarks::allBenchmarks()) {
-                if (opts.budgetExpired()) {
-                    report.truncated();
-                    break;
-                }
-                const double mono =
-                    toMB(benchmarks::monolithicBytes(bench.dag));
-                const double analytic =
-                    toMB(benchmarks::faasShippedBytes(bench.dag));
+    for (const auto& bench : benchmarks::allBenchmarks()) {
+        const double mono =
+            toMB(benchmarks::monolithicBytes(bench.dag));
+        const double analytic =
+            toMB(benchmarks::faasShippedBytes(bench.dag));
 
-                // Measure the same quantity by actually running the
-                // workflow in the data-shipping configuration (MasterSP +
-                // remote store).
-                System system(SystemConfig::hyperflowServerless());
-                const std::string name = deployBenchmark(system, bench);
-                runClosedLoop(system, name, invocations);
-                const double measured =
-                    system.metrics().meanBytesMoved(name) / 1e6;
+        // Measure the same quantity by actually running the
+        // workflow in the data-shipping configuration (MasterSP +
+        // remote store).
+        System system(SystemConfig::hyperflowServerless());
+        const std::string name = deployBenchmark(system, bench);
+        runClosedLoop(system, name, invocations);
+        const double measured =
+            system.metrics().meanBytesMoved(name) / 1e6;
 
-                report.info("monolithic_mb_" + bench.name, mono);
-                report.info("analytic_mb_" + bench.name, analytic);
-                report.info("measured_mb_" + bench.name, measured);
-                report.lower("amplification_" + bench.name,
-                             measured / mono, true);
-                table.addRow({bench.name, strFormat("%.2f", mono),
-                              strFormat("%.2f", analytic),
-                              strFormat("%.2f", measured),
-                              strFormat("%.1fx", measured / mono)});
-            }
-            std::printf("%s\n", table.str().c_str());
-            std::printf("paper anchors: Vid 4.23 -> 96.82 MB, Cyc 23.95 "
-                        "-> 1182.3 MB\n");
-        }});
+        report.pin("monolithic_mb_" + bench.name, mono);
+        report.pin("analytic_mb_" + bench.name, analytic);
+        report.pin("measured_mb_" + bench.name, measured);
+        report.pin("amplification_" + bench.name, measured / mono);
+        table.addRow({bench.name, strFormat("%.2f", mono),
+                      strFormat("%.2f", analytic),
+                      strFormat("%.2f", measured),
+                      strFormat("%.1fx", measured / mono)});
+    }
+    std::printf("%s\n", table.str().c_str());
+    std::printf("paper anchors: Vid 4.23 -> 96.82 MB, Cyc 23.95 "
+                "-> 1182.3 MB\n");
 }
 
 }  // namespace faasflow::bench

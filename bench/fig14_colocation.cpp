@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 
 namespace {
 
@@ -61,52 +61,46 @@ corunLatencies(const faasflow::SystemConfig& config, size_t invocations)
 namespace faasflow::bench {
 
 void
-registerFig14Colocation(Registry& registry)
+runFig14Colocation(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "fig14_colocation", "figures",
-        "co-location interference, solo vs all-8 co-run (paper Fig. 14)",
-        [](const RunOptions& opts, Report& report) {
-            const size_t invocations = opts.scaled(120, 20);
+    const size_t invocations = opts.scaled(120, 20);
 
-            std::printf("Fig. 14 — co-location interference: mean e2e "
-                        "latency solo vs all-8 co-running (%zu closed-loop "
-                        "invocations per benchmark)\n\n",
-                        invocations);
+    std::printf("Fig. 14 — co-location interference: mean e2e "
+                "latency solo vs all-8 co-running (%zu closed-loop "
+                "invocations per benchmark)\n\n",
+                invocations);
 
-            const auto master_solo = soloLatencies(
-                SystemConfig::hyperflowServerless(), invocations);
-            const auto master_corun = corunLatencies(
-                SystemConfig::hyperflowServerless(), invocations);
-            const auto faas_solo = soloLatencies(
-                SystemConfig::faasflowFaastore(), invocations);
-            const auto faas_corun = corunLatencies(
-                SystemConfig::faasflowFaastore(), invocations);
+    const auto master_solo = soloLatencies(
+        SystemConfig::hyperflowServerless(), invocations);
+    const auto master_corun = corunLatencies(
+        SystemConfig::hyperflowServerless(), invocations);
+    const auto faas_solo = soloLatencies(
+        SystemConfig::faasflowFaastore(), invocations);
+    const auto faas_corun = corunLatencies(
+        SystemConfig::faasflowFaastore(), invocations);
 
-            TextTable table;
-            table.setHeader({"benchmark", "HF solo (ms)", "HF co-run (ms)",
-                             "HF degraded", "FF solo (ms)",
-                             "FF co-run (ms)", "FF degraded"});
-            for (const auto& bench : benchmarks::allBenchmarks()) {
-                const std::string& n = bench.name;
-                const double hf_deg =
-                    master_corun.at(n) / master_solo.at(n) - 1.0;
-                const double ff_deg =
-                    faas_corun.at(n) / faas_solo.at(n) - 1.0;
-                report.info("hf_degradation_pct_" + n, hf_deg * 100.0);
-                report.lower("ff_degradation_pct_" + n, ff_deg * 100.0,
-                             true);
-                report.info("ff_corun_ms_" + n, faas_corun.at(n));
-                table.addRow({n, ms(master_solo.at(n)),
-                              ms(master_corun.at(n)), pct(hf_deg),
-                              ms(faas_solo.at(n)), ms(faas_corun.at(n)),
-                              pct(ff_deg)});
-            }
-            std::printf("%s\n", table.str().c_str());
-            std::printf("paper anchors (HyperFlow-serverless "
-                        "degradation): Cyc 50.3%%, Gen 48.5%%, Vid "
-                        "84.4%%, WC 66.2%%\n");
-        }});
+    TextTable table;
+    table.setHeader({"benchmark", "HF solo (ms)", "HF co-run (ms)",
+                     "HF degraded", "FF solo (ms)",
+                     "FF co-run (ms)", "FF degraded"});
+    for (const auto& bench : benchmarks::allBenchmarks()) {
+        const std::string& n = bench.name;
+        const double hf_deg =
+            master_corun.at(n) / master_solo.at(n) - 1.0;
+        const double ff_deg =
+            faas_corun.at(n) / faas_solo.at(n) - 1.0;
+        report.pin("hf_degradation_pct_" + n, hf_deg * 100.0);
+        report.pin("ff_degradation_pct_" + n, ff_deg * 100.0);
+        report.pin("ff_corun_ms_" + n, faas_corun.at(n));
+        table.addRow({n, ms(master_solo.at(n)),
+                      ms(master_corun.at(n)), pct(hf_deg),
+                      ms(faas_solo.at(n)), ms(faas_corun.at(n)),
+                      pct(ff_deg)});
+    }
+    std::printf("%s\n", table.str().c_str());
+    std::printf("paper anchors (HyperFlow-serverless "
+                "degradation): Cyc 50.3%%, Gen 48.5%%, Vid "
+                "84.4%%, WC 66.2%%\n");
 }
 
 }  // namespace faasflow::bench

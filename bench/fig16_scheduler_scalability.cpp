@@ -17,7 +17,7 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 #include "scheduler/graph_scheduler.h"
 #include "workflow/analysis.h"
 
@@ -76,69 +76,55 @@ bestOfMs(int reps, Fn&& fn)
 namespace faasflow::bench {
 
 void
-registerFig16SchedulerScalability(Registry& registry)
+runFig16SchedulerScalability(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "fig16_scheduler_scalability", "figures",
-        "Graph Scheduler cost vs workflow size (paper Fig. 16)",
-        [](const RunOptions& opts, Report& report) {
-            const std::vector<int> sizes =
-                opts.smoke ? std::vector<int>{10, 50}
-                           : std::vector<int>{10, 25, 50, 100, 200};
-            const int reps = static_cast<int>(opts.scaled(10, 3));
+    const std::vector<int> sizes =
+        opts.smoke ? std::vector<int>{10, 50}
+                   : std::vector<int>{10, 25, 50, 100, 200};
+    const int reps = static_cast<int>(opts.scaled(10, 3));
 
-            std::printf("Fig. 16 — Graph Scheduler scalability: one "
-                        "Algorithm-1 iteration on Genome(n)\n"
-                        "(expect roughly O(n^2) growth; mem_MB is the "
-                        "estimated scheduler working set, paper baseline "
-                        "24.43 MB)\n\n");
+    std::printf("Fig. 16 — Graph Scheduler scalability: one "
+                "Algorithm-1 iteration on Genome(n)\n"
+                "(expect roughly O(n^2) growth; mem_MB is the "
+                "estimated scheduler working set, paper baseline "
+                "24.43 MB)\n\n");
 
-            TextTable table;
-            table.setHeader({"nodes", "iterate (ms, best of k)",
-                             "hash partition (ms)", "groups", "mem_MB"});
-            for (const int n : sizes) {
-                if (opts.budgetExpired()) {
-                    report.truncated();
-                    break;
-                }
-                const Instance instance(n);
-                scheduler::GraphScheduler sched(instance.registry);
-                scheduler::RuntimeFeedback feedback;
-                workflow::Dag dag = instance.bench.dag;
-                // Capacity scales with the workflow so merging is never
-                // cut short by the slot cap — Fig. 16 measures the
-                // algorithm, not the cap.
-                const std::vector<int> capacity(7, n);
-                size_t groups = 0;
-                const double iterate_ms = bestOfMs(reps, [&] {
-                    auto placement = sched.iterate(dag, feedback,
-                                                   capacity, 0);
-                    groups = placement.groups.size();
-                });
-                const double hash_ms = bestOfMs(reps, [&] {
-                    auto placement =
-                        scheduler::hashPartition(instance.bench.dag, 7, 0);
-                    (void)placement;
-                });
-                const double mem_mb =
-                    toMB(schedulerMemoryEstimate(instance.bench.dag));
-                // Host timings are reported, not ratcheted: a
-                // sub-millisecond window moves with the host.
-                report.info(strFormat("iterate_ms_n%d", n), iterate_ms,
-                            /*deterministic=*/false);
-                report.info(strFormat("hash_partition_ms_n%d", n), hash_ms,
-                            /*deterministic=*/false);
-                report.info(strFormat("groups_n%d", n),
-                            static_cast<double>(groups));
-                report.info(strFormat("mem_mb_n%d", n), mem_mb);
-                table.addRow({strFormat("%d", n),
-                              strFormat("%.3f", iterate_ms),
-                              strFormat("%.4f", hash_ms),
-                              strFormat("%zu", groups),
-                              strFormat("%.2f", mem_mb)});
-            }
-            std::printf("%s\n", table.str().c_str());
-        }});
+    TextTable table;
+    table.setHeader({"nodes", "iterate (ms, best of k)",
+                     "hash partition (ms)", "groups", "mem_MB"});
+    for (const int n : sizes) {
+        const Instance instance(n);
+        scheduler::GraphScheduler sched(instance.registry);
+        scheduler::RuntimeFeedback feedback;
+        workflow::Dag dag = instance.bench.dag;
+        // Capacity scales with the workflow so merging is never
+        // cut short by the slot cap — Fig. 16 measures the
+        // algorithm, not the cap.
+        const std::vector<int> capacity(7, n);
+        size_t groups = 0;
+        const double iterate_ms = bestOfMs(reps, [&] {
+            auto placement = sched.iterate(dag, feedback,
+                                           capacity, 0);
+            groups = placement.groups.size();
+        });
+        const double hash_ms = bestOfMs(reps, [&] {
+            auto placement =
+                scheduler::hashPartition(instance.bench.dag, 7, 0);
+            (void)placement;
+        });
+        const double mem_mb =
+            toMB(schedulerMemoryEstimate(instance.bench.dag));
+        // The host timings are printed, not pinned: a sub-millisecond
+        // window moves with the host.
+        report.pin(strFormat("groups_n%d", n), static_cast<double>(groups));
+        report.pin(strFormat("mem_mb_n%d", n), mem_mb);
+        table.addRow({strFormat("%d", n),
+                      strFormat("%.3f", iterate_ms),
+                      strFormat("%.4f", hash_ms),
+                      strFormat("%zu", groups),
+                      strFormat("%.2f", mem_mb)});
+    }
+    std::printf("%s\n", table.str().c_str());
 }
 
 }  // namespace faasflow::bench

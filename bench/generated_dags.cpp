@@ -7,8 +7,8 @@
  * Every cell is an independent simulation: generate the DAG from a
  * pinned (regime, seed, nodes) triple, deploy it with the standard
  * warm-up + repartition methodology, then run a closed loop capturing
- * per-invocation output digests. Per row the section exports
- * exact-checked latency pins for MasterSP and WorkerSP plus the
+ * per-invocation output digests. Per row the section pins the
+ * latencies of MasterSP and WorkerSP plus the
  * correctness counters (cross-engine digest mismatches, incomplete
  * invocations, same-epoch duplicate executions, timeouts) — all
  * deterministic, so the section digest must repeat bit-for-bit across
@@ -16,7 +16,7 @@
  *
  * The canonical WDL emission of every row's workflow is folded into the
  * section digest as well: a generator or emitter that stops being
- * byte-stable fails the baseline compare even if the simulations still
+ * byte-stable fails the golden check even if the simulations still
  * agree.
  */
 #include <cstdio>
@@ -27,7 +27,7 @@
 
 #include "common/campaign.h"
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 #include "workflow/dagen.h"
 #include "workflow/wdl.h"
 
@@ -102,120 +102,114 @@ runCell(const workflow::GeneratedWorkflow& gen, engine::ControlMode mode,
 namespace faasflow::bench {
 
 void
-registerGeneratedDags(Registry& registry)
+runGeneratedDags(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "generated_dags", "workloads",
-        "seeded regime x size grid (dagen.h), MasterSP vs WorkerSP on "
-        "identical DAGs with cross-engine digest invariants",
-        [](const RunOptions& opts, Report& report) {
-            const size_t invocations = opts.scaled(12, 4);
-            const std::vector<std::pair<std::string, int>> sizes = {
-                {"small", static_cast<int>(opts.scaled(16, 8))},
-                {"large", static_cast<int>(opts.scaled(96, 24))}};
+    const size_t invocations = opts.scaled(12, 4);
+    const std::vector<std::pair<std::string, int>> sizes = {
+        {"small", static_cast<int>(opts.scaled(16, 8))},
+        {"large", static_cast<int>(opts.scaled(96, 24))}};
 
-            struct Row
-            {
-                workflow::Regime regime;
-                std::string label;
-                workflow::GeneratedWorkflow gen;
-            };
-            std::vector<Row> rows;
-            for (const workflow::Regime regime : workflow::allRegimes()) {
-                for (const auto& [size_label, nodes] : sizes) {
-                    Row row;
-                    row.regime = regime;
-                    row.label = std::string(workflow::regimeName(regime)) +
-                                "_" + size_label;
-                    row.gen = workflow::generate(rowSpec(regime, nodes));
-                    if (!row.gen.ok()) {
-                        std::printf("generation failed for %s: %s\n",
-                                    row.label.c_str(),
-                                    row.gen.error.c_str());
-                        report.info(row.label + "_generation_failed", 1.0);
-                        continue;
-                    }
-                    rows.push_back(std::move(row));
-                }
+    struct Row
+    {
+        workflow::Regime regime;
+        std::string label;
+        workflow::GeneratedWorkflow gen;
+    };
+    std::vector<Row> rows;
+    for (const workflow::Regime regime : workflow::allRegimes()) {
+        for (const auto& [size_label, nodes] : sizes) {
+            Row row;
+            row.regime = regime;
+            row.label = std::string(workflow::regimeName(regime)) +
+                        "_" + size_label;
+            row.gen = workflow::generate(rowSpec(regime, nodes));
+            if (!row.gen.ok()) {
+                std::printf("generation failed for %s: %s\n",
+                            row.label.c_str(),
+                            row.gen.error.c_str());
+                report.pin(row.label + "_generation_failed", 1.0);
+                continue;
             }
+            rows.push_back(std::move(row));
+        }
+    }
 
-            std::printf("generated-DAG grid — %zu rows x {MasterSP, "
-                        "WorkerSP}, %zu invocations per cell, seed %llu\n\n",
-                        rows.size(), invocations,
-                        static_cast<unsigned long long>(kSeed));
+    std::printf("generated-DAG grid — %zu rows x {MasterSP, "
+                "WorkerSP}, %zu invocations per cell, seed %llu\n\n",
+                rows.size(), invocations,
+                static_cast<unsigned long long>(kSeed));
 
-            // One job per (row, engine): all cells are independent sims.
-            std::vector<std::function<CellResult()>> jobs;
-            for (const Row& row : rows) {
-                for (const engine::ControlMode mode :
-                     {engine::ControlMode::MasterSP,
-                      engine::ControlMode::WorkerSP}) {
-                    const workflow::GeneratedWorkflow* gen = &row.gen;
-                    jobs.push_back([gen, mode, invocations] {
-                        return runCell(*gen, mode, invocations);
-                    });
-                }
-            }
-            const std::vector<CellResult> cells =
-                runCampaign(jobs, opts.campaignWidth());
+    // One job per (row, engine): all cells are independent sims.
+    std::vector<std::function<CellResult()>> jobs;
+    for (const Row& row : rows) {
+        for (const engine::ControlMode mode :
+             {engine::ControlMode::MasterSP,
+              engine::ControlMode::WorkerSP}) {
+            const workflow::GeneratedWorkflow* gen = &row.gen;
+            jobs.push_back([gen, mode, invocations] {
+                return runCell(*gen, mode, invocations);
+            });
+        }
+    }
+    const std::vector<CellResult> cells =
+        runCampaign(jobs, opts.campaignWidth());
 
-            TextTable table;
-            table.setHeader({"row", "nodes", "master p50", "worker p50",
-                             "speedup", "mismatch"});
-            size_t job = 0;
-            for (const Row& row : rows) {
-                const CellResult& master = cells[job++];
-                const CellResult& worker = cells[job++];
+    TextTable table;
+    table.setHeader({"row", "nodes", "master p50", "worker p50",
+                     "speedup", "mismatch"});
+    size_t job = 0;
+    for (const Row& row : rows) {
+        const CellResult& master = cells[job++];
+        const CellResult& worker = cells[job++];
 
-                // Cross-engine differential: same invocation index must
-                // yield the same output digest on both engines. Ids are
-                // allocated per system, so compare in completion order.
-                uint64_t mismatches = 0;
-                auto m = master.digests.begin();
-                auto w = worker.digests.begin();
-                for (; m != master.digests.end() &&
-                       w != worker.digests.end();
-                     ++m, ++w) {
-                    if (m->second != w->second)
-                        ++mismatches;
-                }
+        // Cross-engine differential: same invocation index must
+        // yield the same output digest on both engines. Ids are
+        // allocated per system, so compare in completion order.
+        uint64_t mismatches = 0;
+        auto m = master.digests.begin();
+        auto w = worker.digests.begin();
+        for (; m != master.digests.end() &&
+               w != worker.digests.end();
+             ++m, ++w) {
+            if (m->second != w->second)
+                ++mismatches;
+        }
 
-                table.addRow(
-                    {row.label,
-                     strFormat("%zu", row.gen.dag.nodeCount()),
-                     ms(master.p50_ms), ms(worker.p50_ms),
-                     strFormat("%.2fx", master.p50_ms / worker.p50_ms),
-                     strFormat("%llu",
-                               static_cast<unsigned long long>(mismatches))});
+        table.addRow(
+            {row.label,
+             strFormat("%zu", row.gen.dag.nodeCount()),
+             ms(master.p50_ms), ms(worker.p50_ms),
+             strFormat("%.2fx", master.p50_ms / worker.p50_ms),
+             strFormat("%llu",
+                       static_cast<unsigned long long>(mismatches))});
 
-                const std::string prefix = row.label + "_";
-                report.info(prefix + "nodes",
-                            static_cast<double>(row.gen.dag.nodeCount()));
-                report.lower(prefix + "master_p50_ms", master.p50_ms, true);
-                report.lower(prefix + "worker_p50_ms", worker.p50_ms, true);
-                report.lower(prefix + "worker_p99_ms", worker.p99_ms, true);
-                // Exact-checked correctness invariants (must stay 0).
-                report.info(prefix + "digest_mismatches",
-                            static_cast<double>(mismatches));
-                report.info(prefix + "incomplete",
-                            static_cast<double>(
-                                master.expected - master.completed +
-                                worker.expected - worker.completed));
-                report.info(prefix + "duplicate_executions",
-                            static_cast<double>(
-                                master.duplicate_executions +
-                                worker.duplicate_executions));
-                report.info(prefix + "timeouts",
-                            static_cast<double>(master.timeouts +
-                                                worker.timeouts));
+        const std::string prefix = row.label + "_";
+        report.pin(prefix + "nodes",
+                   static_cast<double>(row.gen.dag.nodeCount()));
+        report.pin(prefix + "master_p50_ms", master.p50_ms);
+        report.pin(prefix + "worker_p50_ms", worker.p50_ms);
+        report.pin(prefix + "worker_p99_ms", worker.p99_ms);
+        // Exact-checked correctness invariants (must stay 0).
+        report.pin(prefix + "digest_mismatches",
+                   static_cast<double>(mismatches));
+        report.pin(prefix + "incomplete",
+                   static_cast<double>(
+                       master.expected - master.completed +
+                       worker.expected - worker.completed));
+        report.pin(prefix + "duplicate_executions",
+                   static_cast<double>(
+                       master.duplicate_executions +
+                       worker.duplicate_executions));
+        report.pin(prefix + "timeouts",
+                   static_cast<double>(master.timeouts +
+                                       worker.timeouts));
 
-                // Generator/emitter byte-stability: the canonical WDL
-                // emission folds into the section digest.
-                report.digest(
-                    workflow::emitWdl(row.gen.dag, row.gen.functions));
-            }
-            std::printf("%s\n", table.str().c_str());
-        }});
+        // Generator/emitter byte-stability: the canonical WDL
+        // emission folds into the section digest.
+        report.digest(
+            workflow::emitWdl(row.gen.dag, row.gen.functions));
+    }
+    std::printf("%s\n", table.str().c_str());
 }
 
 }  // namespace faasflow::bench

@@ -10,9 +10,9 @@
  *
  * All workload randomness is precomputed from fixed seeds, so the work
  * done is identical run to run and machine to machine. The event-queue
- * rate is a non-deterministic info metric; host time of the production
- * System is perfbench's job. Everything else is simulated output and
- * folds into the determinism digest.
+ * rate is host time, so it is printed but not pinned; host time of the
+ * production System is perfbench's job. Everything else is simulated
+ * output and is pinned.
  */
 #include <chrono>
 #include <cstdio>
@@ -24,7 +24,7 @@
 
 #include "common/campaign.h"
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 #include "sim/event_queue.h"
 
 namespace {
@@ -158,70 +158,56 @@ tracedProfiledRun(size_t invocations)
 namespace faasflow::bench {
 
 void
-registerPerfHotpaths(Registry& registry)
+runPerfHotpaths(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "perf_hotpaths", "perf",
-        "simulator hot paths: event-queue rate, sweep p99, campaign "
-        "bit-identity, trace and profile counts",
-        [](const RunOptions& opts, Report& report) {
-            const size_t evq_events = opts.scaled(2'000'000, 200'000);
-            const size_t evq_backlog = opts.scaled(20'000, 5'000);
-            const size_t sweep_invocations = opts.scaled(200, 40);
-            const size_t campaign_jobs = opts.scaled(4, 2);
+    const size_t evq_events = opts.scaled(2'000'000, 200'000);
+    const size_t evq_backlog = opts.scaled(20'000, 5'000);
+    const size_t sweep_invocations = opts.scaled(200, 40);
+    const size_t campaign_jobs = opts.scaled(4, 2);
 
-            std::printf("perf_hotpaths%s\n", opts.smoke ? " (smoke)" : "");
+    std::printf("perf_hotpaths%s\n", opts.smoke ? " (smoke)" : "");
 
-            const double evq_deep =
-                evqEventsPerSec(evq_events, evq_backlog);
-            report.info("events_per_sec_deep", evq_deep,
-                        /*deterministic=*/false);
-            std::printf("event queue, deep mix (%zu backlog): %.0f "
-                        "events/sec\n",
-                        evq_backlog, evq_deep);
+    const double evq_deep =
+        evqEventsPerSec(evq_events, evq_backlog);
+    std::printf("event queue, deep mix (%zu backlog): %.0f "
+                "events/sec\n",
+                evq_backlog, evq_deep);
 
-            for (const double bw : {25e6, 100e6}) {
-                const double p99 = sweepPointP99(bw, sweep_invocations);
-                report.info(strFormat("sweep_p99_ms_bw%d",
-                                      (int)(bw / 1e6)),
-                            p99);
-            }
+    for (const double bw : {25e6, 100e6}) {
+        const double p99 = sweepPointP99(bw, sweep_invocations);
+        report.pin(strFormat("sweep_p99_ms_bw%d", (int)(bw / 1e6)), p99);
+    }
 
-            // Campaign bit-identity: same jobs, 1 thread vs the harness
-            // width. Meaningful on any host, single-core included.
-            std::vector<std::function<double()>> jobs;
-            for (size_t j = 0; j < campaign_jobs; ++j) {
-                jobs.push_back([sweep_invocations] {
-                    return sweepPointP99(50e6, sweep_invocations);
-                });
-            }
-            const std::vector<double> seq = runCampaign(jobs, 1);
-            const unsigned threads = opts.campaignWidth();
-            const std::vector<double> par = runCampaign(jobs, threads);
-            bool identical = true;
-            for (size_t j = 0; j < jobs.size(); ++j)
-                identical = identical && std::memcmp(&seq[j], &par[j],
-                                                     sizeof(double)) == 0;
-            report.info("campaign_jobs",
-                        static_cast<double>(campaign_jobs));
-            report.info("campaign_threads", static_cast<double>(threads),
-                        /*deterministic=*/false);
-            report.info("campaign_bit_identical", identical ? 1.0 : 0.0);
-            std::printf("campaign (%zu jobs) @ 1 vs %u threads: results "
-                        "%s\n",
-                        campaign_jobs, threads,
-                        identical ? "bit-identical" : "MISMATCH");
+    // Campaign bit-identity: same jobs, 1 thread vs the harness
+    // width. Meaningful on any host, single-core included.
+    std::vector<std::function<double()>> jobs;
+    for (size_t j = 0; j < campaign_jobs; ++j) {
+        jobs.push_back([sweep_invocations] {
+            return sweepPointP99(50e6, sweep_invocations);
+        });
+    }
+    const std::vector<double> seq = runCampaign(jobs, 1);
+    const unsigned threads = opts.campaignWidth();
+    const std::vector<double> par = runCampaign(jobs, threads);
+    bool identical = true;
+    for (size_t j = 0; j < jobs.size(); ++j)
+        identical = identical && std::memcmp(&seq[j], &par[j],
+                                             sizeof(double)) == 0;
+    report.pin("campaign_jobs", static_cast<double>(campaign_jobs));
+    report.pin("campaign_bit_identical", identical ? 1.0 : 0.0);
+    std::printf("campaign (%zu jobs) @ 1 vs %u threads: results "
+                "%s\n",
+                campaign_jobs, threads,
+                identical ? "bit-identical" : "MISMATCH");
 
-            const ObservedCounts observed =
-                tracedProfiledRun(sweep_invocations);
-            report.info("trace_spans", static_cast<double>(observed.spans));
-            report.info("profile_samples",
-                        static_cast<double>(observed.samples));
-            std::printf("traced + profiled run (%zu invocations): %zu "
-                        "spans, %zu samples\n",
-                        sweep_invocations, observed.spans,
-                        observed.samples);
-        }});
+    const ObservedCounts observed =
+        tracedProfiledRun(sweep_invocations);
+    report.pin("trace_spans", static_cast<double>(observed.spans));
+    report.pin("profile_samples", static_cast<double>(observed.samples));
+    std::printf("traced + profiled run (%zu invocations): %zu "
+                "spans, %zu samples\n",
+                sweep_invocations, observed.spans,
+                observed.samples);
 }
 
 }  // namespace faasflow::bench

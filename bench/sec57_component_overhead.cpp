@@ -11,104 +11,92 @@
 #include <vector>
 
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 
 namespace faasflow::bench {
 
 void
-registerSec57ComponentOverhead(Registry& registry)
+runSec57ComponentOverhead(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "sec57_component_overhead", "tables",
-        "per-worker engine CPU/memory and cluster scaling (paper §5.7)",
-        [](const RunOptions& opts, Report& report) {
-            const size_t invocations = opts.scaled(100, 20);
+    const size_t invocations = opts.scaled(100, 20);
 
-            std::printf("§5.7 — per-worker engine overhead while serving "
-                        "all 8 benchmarks (closed-loop clients, sustained "
-                        "load)\n\n");
-            {
-                System system(SystemConfig::faasflowFaastore());
-                std::vector<std::string> names;
-                for (const auto& bench : benchmarks::allBenchmarks())
-                    names.push_back(deployBenchmark(system, bench));
-                std::vector<std::unique_ptr<ClosedLoopClient>> clients;
-                for (const auto& name : names) {
-                    clients.push_back(std::make_unique<ClosedLoopClient>(
-                        system, name, invocations));
-                    clients.back()->start();
-                }
-                system.run();
+    std::printf("§5.7 — per-worker engine overhead while serving "
+                "all 8 benchmarks (closed-loop clients, sustained "
+                "load)\n\n");
+    {
+        System system(SystemConfig::faasflowFaastore());
+        std::vector<std::string> names;
+        for (const auto& bench : benchmarks::allBenchmarks())
+            names.push_back(deployBenchmark(system, bench));
+        std::vector<std::unique_ptr<ClosedLoopClient>> clients;
+        for (const auto& name : names) {
+            clients.push_back(std::make_unique<ClosedLoopClient>(
+                system, name, invocations));
+            clients.back()->start();
+        }
+        system.run();
 
-                TextTable table;
-                table.setHeader({"worker", "engine CPU (cores)",
-                                 "engine mem"});
-                double cpu_sum = 0.0;
-                for (size_t w = 0; w < system.cluster().workerCount();
-                     ++w) {
-                    const double cpu = system.workerEngineUtilisation(w);
-                    cpu_sum += cpu;
-                    table.addRow({strFormat("w%zu", w),
-                                  strFormat("%.3f", cpu),
-                                  formatBytes(
-                                      system.workerEngineMemory(w))});
-                }
-                const double mean_cpu =
-                    cpu_sum /
-                    static_cast<double>(system.cluster().workerCount());
-                report.lower("mean_engine_cpu_cores", mean_cpu, true);
-                std::printf("%s\n", table.str().c_str());
-                std::printf("mean engine CPU: %.3f cores  (paper: "
-                            "0.12)\n",
-                            mean_cpu);
-                std::printf("engine memory:   47 MB baseline (paper: 47 "
-                            "MB)\n\n");
-            }
+        TextTable table;
+        table.setHeader({"worker", "engine CPU (cores)",
+                         "engine mem"});
+        double cpu_sum = 0.0;
+        for (size_t w = 0; w < system.cluster().workerCount();
+             ++w) {
+            const double cpu = system.workerEngineUtilisation(w);
+            cpu_sum += cpu;
+            table.addRow({strFormat("w%zu", w),
+                          strFormat("%.3f", cpu),
+                          formatBytes(
+                              system.workerEngineMemory(w))});
+        }
+        const double mean_cpu =
+            cpu_sum /
+            static_cast<double>(system.cluster().workerCount());
+        report.pin("mean_engine_cpu_cores", mean_cpu);
+        std::printf("%s\n", table.str().c_str());
+        std::printf("mean engine CPU: %.3f cores  (paper: "
+                    "0.12)\n",
+                    mean_cpu);
+        std::printf("engine memory:   47 MB baseline (paper: 47 "
+                    "MB)\n\n");
+    }
 
-            std::printf("cluster scaling: engine overhead per node as "
-                        "the cluster grows (WC, %zu invocations)\n\n",
-                        invocations);
-            TextTable table;
-            table.setHeader({"workers", "total engine mem",
-                             "mean engine CPU", "mean e2e (ms)"});
-            const std::vector<int> scales =
-                opts.smoke ? std::vector<int>{1, 10, 25}
-                           : std::vector<int>{1, 5, 10, 25, 50, 100};
-            for (const int workers : scales) {
-                if (opts.budgetExpired()) {
-                    report.truncated();
-                    break;
-                }
-                SystemConfig config = SystemConfig::faasflowFaastore();
-                config.cluster.worker_count = workers;
-                System system(config);
-                const std::string name =
-                    deployBenchmark(system, benchmarks::wordCount());
-                runClosedLoop(system, name, invocations);
+    std::printf("cluster scaling: engine overhead per node as "
+                "the cluster grows (WC, %zu invocations)\n\n",
+                invocations);
+    TextTable table;
+    table.setHeader({"workers", "total engine mem",
+                     "mean engine CPU", "mean e2e (ms)"});
+    const std::vector<int> scales =
+        opts.smoke ? std::vector<int>{1, 10, 25}
+                   : std::vector<int>{1, 5, 10, 25, 50, 100};
+    for (const int workers : scales) {
+        SystemConfig config = SystemConfig::faasflowFaastore();
+        config.cluster.worker_count = workers;
+        System system(config);
+        const std::string name =
+            deployBenchmark(system, benchmarks::wordCount());
+        runClosedLoop(system, name, invocations);
 
-                int64_t mem = 0;
-                double cpu = 0.0;
-                for (size_t w = 0; w < system.cluster().workerCount();
-                     ++w) {
-                    mem += system.workerEngineMemory(w);
-                    cpu += system.workerEngineUtilisation(w);
-                }
-                const double e2e = system.metrics().e2e(name).mean();
-                report.info(strFormat("total_engine_mem_mb_w%d", workers),
-                            toMB(mem));
-                report.lower(strFormat("mean_engine_cpu_w%d", workers),
-                             cpu / workers, true);
-                report.lower(strFormat("mean_e2e_ms_w%d", workers), e2e,
-                             true);
-                table.addRow({strFormat("%d", workers), formatBytes(mem),
-                              strFormat("%.4f", cpu / workers), ms(e2e)});
-            }
-            std::printf("%s\n", table.str().c_str());
-            std::printf("expectation: total memory scales linearly with "
-                        "workers; per-node CPU stays flat;\ne2e latency "
-                        "does not grow with the cluster (no extra "
-                        "per-invocation overhead).\n");
-        }});
+        int64_t mem = 0;
+        double cpu = 0.0;
+        for (size_t w = 0; w < system.cluster().workerCount();
+             ++w) {
+            mem += system.workerEngineMemory(w);
+            cpu += system.workerEngineUtilisation(w);
+        }
+        const double e2e = system.metrics().e2e(name).mean();
+        report.pin(strFormat("total_engine_mem_mb_w%d", workers), toMB(mem));
+        report.pin(strFormat("mean_engine_cpu_w%d", workers), cpu / workers);
+        report.pin(strFormat("mean_e2e_ms_w%d", workers), e2e);
+        table.addRow({strFormat("%d", workers), formatBytes(mem),
+                      strFormat("%.4f", cpu / workers), ms(e2e)});
+    }
+    std::printf("%s\n", table.str().c_str());
+    std::printf("expectation: total memory scales linearly with "
+                "workers; per-node CPU stays flat;\ne2e latency "
+                "does not grow with the cluster (no extra "
+                "per-invocation overhead).\n");
 }
 
 }  // namespace faasflow::bench

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 
 namespace {
 
@@ -32,74 +32,68 @@ constexpr VendorQuota kQuotas[] = {
 namespace faasflow::bench {
 
 void
-registerTable2VendorQuotas(Registry& registry)
+runTable2VendorQuotas(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "table2_vendor_quotas", "tables",
-        "vendor payload quotas + oversize-intermediate demo (paper "
-        "Table 2)",
-        [](const RunOptions& opts, Report& report) {
-            const size_t invocations = opts.scaled(20, 8);
+    const size_t invocations = opts.scaled(20, 8);
 
-            std::printf("Table 2 — hard per-request payload quotas of "
-                        "popular serverless platforms\n\n");
-            TextTable table;
-            table.setHeader(
-                {"serverless platform", "hard quota (per request)"});
-            for (const auto& q : kQuotas)
-                table.addRow({q.platform, q.quota});
-            std::printf("%s\n", table.str().c_str());
+    std::printf("Table 2 — hard per-request payload quotas of "
+                "popular serverless platforms\n\n");
+    TextTable table;
+    table.setHeader(
+        {"serverless platform", "hard quota (per request)"});
+    for (const auto& q : kQuotas)
+        table.addRow({q.platform, q.quota});
+    std::printf("%s\n", table.str().c_str());
 
-            // Consequence: a 20 MB intermediate cannot ride the RPC
-            // payload, so the DB round trip (or FaaStore's local memory)
-            // carries it.
-            const char* yaml =
-                "name: quota-demo\n"
-                "functions:\n"
-                "  - name: qd_produce\n"
-                "    exec_ms: 50\n"
-                "    sigma: 0\n"
-                "    peak_mb: 100\n"
-                "  - name: qd_consume\n"
-                "    exec_ms: 50\n"
-                "    sigma: 0\n"
-                "    peak_mb: 100\n"
-                "steps:\n"
-                "  - task: qd_produce\n"
-                "    output_mb: 20\n"
-                "  - task: qd_consume\n";
-            auto wdl = workflow::parseWdlYaml(yaml);
+    // Consequence: a 20 MB intermediate cannot ride the RPC
+    // payload, so the DB round trip (or FaaStore's local memory)
+    // carries it.
+    const char* yaml =
+        "name: quota-demo\n"
+        "functions:\n"
+        "  - name: qd_produce\n"
+        "    exec_ms: 50\n"
+        "    sigma: 0\n"
+        "    peak_mb: 100\n"
+        "  - name: qd_consume\n"
+        "    exec_ms: 50\n"
+        "    sigma: 0\n"
+        "    peak_mb: 100\n"
+        "steps:\n"
+        "  - task: qd_produce\n"
+        "    output_mb: 20\n"
+        "  - task: qd_consume\n";
+    auto wdl = workflow::parseWdlYaml(yaml);
 
-            TextTable demo;
-            demo.setHeader({"data path for a 20MB intermediate",
-                            "transfer latency (ms)"});
-            double remote_ms = 0.0;
-            double local_ms = 0.0;
-            for (const bool faastore : {false, true}) {
-                System system(faastore
-                                  ? SystemConfig::faasflowFaastore()
-                                  : SystemConfig::faasflowRemoteOnly());
-                system.registerFunctions(wdl.functions);
-                workflow::Dag dag = wdl.dag;
-                const std::string name = system.deploy(std::move(dag));
-                ClosedLoopClient warm(system, name, 5);
-                warm.start();
-                system.run();
-                system.repartition(name);
-                system.metrics().clear();
-                runClosedLoop(system, name, invocations);
-                const double latency_ms =
-                    system.metrics().dataLatency(name).mean() * 1000.0;
-                (faastore ? local_ms : remote_ms) = latency_ms;
-                demo.addRow({faastore ? "FaaStore (node-local memory)"
-                                      : "remote store (DB round trip)",
-                             strFormat("%.1f", latency_ms)});
-            }
-            report.info("remote_transfer_ms", remote_ms);
-            report.lower("faastore_transfer_ms", local_ms, true);
-            report.higher("transfer_speedup", remote_ms / local_ms, true);
-            std::printf("%s\n", demo.str().c_str());
-        }});
+    TextTable demo;
+    demo.setHeader({"data path for a 20MB intermediate",
+                    "transfer latency (ms)"});
+    double remote_ms = 0.0;
+    double local_ms = 0.0;
+    for (const bool faastore : {false, true}) {
+        System system(faastore
+                          ? SystemConfig::faasflowFaastore()
+                          : SystemConfig::faasflowRemoteOnly());
+        system.registerFunctions(wdl.functions);
+        workflow::Dag dag = wdl.dag;
+        const std::string name = system.deploy(std::move(dag));
+        ClosedLoopClient warm(system, name, 5);
+        warm.start();
+        system.run();
+        system.repartition(name);
+        system.metrics().clear();
+        runClosedLoop(system, name, invocations);
+        const double latency_ms =
+            system.metrics().dataLatency(name).mean() * 1000.0;
+        (faastore ? local_ms : remote_ms) = latency_ms;
+        demo.addRow({faastore ? "FaaStore (node-local memory)"
+                              : "remote store (DB round trip)",
+                     strFormat("%.1f", latency_ms)});
+    }
+    report.pin("remote_transfer_ms", remote_ms);
+    report.pin("faastore_transfer_ms", local_ms);
+    report.pin("transfer_speedup", remote_ms / local_ms);
+    std::printf("%s\n", demo.str().c_str());
 }
 
 }  // namespace faasflow::bench

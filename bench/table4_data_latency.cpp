@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "harness.h"
-#include "registry.h"
+#include "sections.h"
 
 namespace {
 
@@ -43,59 +43,47 @@ dataLatencyFor(faasflow::SystemConfig config,
 namespace faasflow::bench {
 
 void
-registerTable4DataLatency(Registry& registry)
+runTable4DataLatency(const RunOptions& opts, Report& report)
 {
-    registry.add(SectionSpec{
-        "table4_data_latency", "tables",
-        "data-movement latency over all edges, HF vs FF (paper Table 4)",
-        [](const RunOptions& opts, Report& report) {
-            const size_t invocations = opts.scaled(100, 20);
+    const size_t invocations = opts.scaled(100, 20);
 
-            std::printf("Table 4 — data movement latency over all edges "
-                        "(seconds), %zu closed-loop invocations\n\n",
-                        invocations);
+    std::printf("Table 4 — data movement latency over all edges "
+                "(seconds), %zu closed-loop invocations\n\n",
+                invocations);
 
-            TextTable table;
-            table.setHeader({"benchmark", "HyperFlow (s)",
-                             "FaaSFlow-FaaStore (s)", "reduced",
-                             "bytes localized", "paper reduced"});
-            const char* paper[] = {"95%", "69%", "24%", "5.2%",
-                                   "74%", "35%", "62%", "70%"};
+    TextTable table;
+    table.setHeader({"benchmark", "HyperFlow (s)",
+                     "FaaSFlow-FaaStore (s)", "reduced",
+                     "bytes localized", "paper reduced"});
+    const char* paper[] = {"95%", "69%", "24%", "5.2%",
+                           "74%", "35%", "62%", "70%"};
 
-            int i = 0;
-            double reduction_sum = 0.0;
-            int measured = 0;
-            for (const auto& bench : benchmarks::allBenchmarks()) {
-                if (opts.budgetExpired()) {
-                    report.truncated();
-                    break;
-                }
-                const DataResult master = dataLatencyFor(
-                    SystemConfig::hyperflowServerless(), bench,
-                    invocations);
-                const DataResult faastore = dataLatencyFor(
-                    SystemConfig::faasflowFaastore(), bench, invocations);
-                const double reduction =
-                    1.0 - faastore.latency_s / master.latency_s;
-                reduction_sum += reduction;
-                ++measured;
-                report.info("hf_data_s_" + bench.name, master.latency_s);
-                report.lower("ff_data_s_" + bench.name,
-                             faastore.latency_s, true);
-                report.higher("local_fraction_" + bench.name,
-                              faastore.local_fraction, true);
-                table.addRow(
-                    {bench.name, strFormat("%.2f", master.latency_s),
-                     strFormat("%.2f", faastore.latency_s),
-                     pct(reduction), pct(faastore.local_fraction),
-                     paper[i++]});
-            }
-            if (measured > 0) {
-                report.higher("mean_reduction_pct",
-                              reduction_sum / measured * 100.0, true);
-            }
-            std::printf("%s\n", table.str().c_str());
-        }});
+    int i = 0;
+    double reduction_sum = 0.0;
+    int measured = 0;
+    for (const auto& bench : benchmarks::allBenchmarks()) {
+        const DataResult master = dataLatencyFor(
+            SystemConfig::hyperflowServerless(), bench,
+            invocations);
+        const DataResult faastore = dataLatencyFor(
+            SystemConfig::faasflowFaastore(), bench, invocations);
+        const double reduction =
+            1.0 - faastore.latency_s / master.latency_s;
+        reduction_sum += reduction;
+        ++measured;
+        report.pin("hf_data_s_" + bench.name, master.latency_s);
+        report.pin("ff_data_s_" + bench.name, faastore.latency_s);
+        report.pin("local_fraction_" + bench.name, faastore.local_fraction);
+        table.addRow(
+            {bench.name, strFormat("%.2f", master.latency_s),
+             strFormat("%.2f", faastore.latency_s),
+             pct(reduction), pct(faastore.local_fraction),
+             paper[i++]});
+    }
+    if (measured > 0) {
+        report.pin("mean_reduction_pct", reduction_sum / measured * 100.0);
+    }
+    std::printf("%s\n", table.str().c_str());
 }
 
 }  // namespace faasflow::bench

@@ -1,42 +1,32 @@
 /**
  * @file
- * The unified bench harness: registry enumeration, glob/suite
- * selection, interleaved repetition aggregation, per-section budget
- * enforcement, schema validity of every emitted report, and the
- * determinism golden — every section's digest is byte-identical across
- * repeated runs and across campaign thread counts.
+ * The bench harness: the section table, glob selection, the section
+ * digest, and the golden (bench/BASELINE.json): its parser rejects
+ * malformed documents with messages that name the path, a written
+ * golden parses back exactly, any changed, new or vanished value is a
+ * mismatch, and the checked-in golden names exactly the table's
+ * sections. The sections themselves are checked against the golden by
+ * test_paper.
  */
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <cmath>
 #include <set>
-#include <thread>
 
+#include "golden.h"
 #include "json/json.h"
-#include "registry.h"
-#include "runner.h"
-#include "schema.h"
+#include "sections.h"
 
 namespace faasflow::bench {
 namespace {
 
-RunnerOptions
-quietOptions()
-{
-    RunnerOptions options;
-    options.verbose = false;
-    return options;
-}
-
 // ---------------------------------------------------------------------
-// Registry enumeration
+// The section table
 
 TEST(Registry, EveryFormerBenchBinaryIsRegistered)
 {
-    Registry registry;
-    registerAllSections(registry);
     std::vector<std::string> names;
-    for (const SectionSpec& s : registry.sections())
+    for (const Section& s : allSections())
         names.push_back(s.name);
     const std::vector<std::string> expected = {
         "ablation_modes",
@@ -60,30 +50,31 @@ TEST(Registry, EveryFormerBenchBinaryIsRegistered)
     EXPECT_EQ(names, expected);
 }
 
+// Sections no longer carry a suite; the table is the one grouping, so
+// each entry must be complete and uniquely named.
 TEST(Registry, SpecsAreCompleteAndSuitesKnown)
 {
-    Registry registry;
-    registerAllSections(registry);
-    const std::set<std::string> suites = {"figures", "tables", "ablation",
-                                          "load", "perf", "workloads"};
     std::set<std::string> seen;
-    for (const SectionSpec& s : registry.sections()) {
+    for (const Section& s : allSections()) {
         EXPECT_TRUE(seen.insert(s.name).second)
             << "duplicate section " << s.name;
-        EXPECT_TRUE(suites.count(s.suite))
-            << s.name << " has unknown suite " << s.suite;
-        EXPECT_FALSE(s.description.empty()) << s.name;
-        EXPECT_TRUE(static_cast<bool>(s.run)) << s.name;
+        EXPECT_NE(std::string(s.description), "") << s.name;
+        EXPECT_NE(s.run, nullptr) << s.name;
     }
 }
 
-TEST(Registry, FindLocatesByName)
+TEST(Golden, NamesExactlyTheSectionsOfTheTable)
 {
-    Registry registry;
-    registerAllSections(registry);
-    ASSERT_NE(registry.find("load_saturation"), nullptr);
-    EXPECT_EQ(registry.find("load_saturation")->suite, "load");
-    EXPECT_EQ(registry.find("no_such_section"), nullptr);
+    const GoldenParseResult golden = loadGolden(FAASFLOW_GOLDEN_PATH);
+    ASSERT_TRUE(golden.ok()) << golden.error;
+    std::vector<std::string> in_golden;
+    for (const GoldenSection& s : golden.sections)
+        in_golden.push_back(s.name);
+    std::vector<std::string> in_table;
+    for (const Section& s : allSections())
+        in_table.push_back(s.name);
+    EXPECT_EQ(in_golden, in_table)
+        << "rewrite the golden with faasflow_bench --smoke --write-golden";
 }
 
 // ---------------------------------------------------------------------
@@ -105,286 +96,245 @@ TEST(Glob, MatchesAnchoredPatterns)
     EXPECT_TRUE(globMatch("", ""));
 }
 
-Registry
-fakeRegistry()
+void
+noop(const RunOptions&, Report&)
 {
-    Registry registry;
-    for (const auto& [name, suite] :
-         std::vector<std::pair<std::string, std::string>>{
-             {"alpha_one", "figures"},
-             {"alpha_two", "tables"},
-             {"beta_one", "figures"}}) {
-        registry.add(SectionSpec{
-            name, suite, "fake",
-            [](const RunOptions&, Report& report) {
-                report.info("touched", 1.0);
-            }});
-    }
-    return registry;
 }
+
+constexpr Section kFakeSections[] = {
+    {"alpha_one", "fake", noop},
+    {"alpha_two", "fake", noop},
+    {"beta_one", "fake", noop},
+};
 
 TEST(Select, FilterIsUnionOfGlobs)
 {
-    const Registry registry = fakeRegistry();
-    RunnerOptions options = quietOptions();
-    options.filters = {"beta*", "alpha_two"};
-    const auto picked = selectSections(registry, options);
+    const auto picked =
+        selectSections(kFakeSections, {"beta*", "alpha_two"});
     ASSERT_EQ(picked.size(), 2u);
-    EXPECT_EQ(picked[0]->name, "alpha_two");  // registration order kept
-    EXPECT_EQ(picked[1]->name, "beta_one");
-}
-
-TEST(Select, SuiteRestrictsAndComposesWithFilter)
-{
-    const Registry registry = fakeRegistry();
-    RunnerOptions options = quietOptions();
-    options.suite = "figures";
-    EXPECT_EQ(selectSections(registry, options).size(), 2u);
-    options.filters = {"alpha*"};
-    const auto picked = selectSections(registry, options);
-    ASSERT_EQ(picked.size(), 1u);
-    EXPECT_EQ(picked[0]->name, "alpha_one");
+    EXPECT_STREQ(picked[0]->name, "alpha_two");  // table order kept
+    EXPECT_STREQ(picked[1]->name, "beta_one");
+    EXPECT_EQ(selectSections(kFakeSections, {}).size(), 3u);
 }
 
 TEST(Select, NoMatchIsEmpty)
 {
-    const Registry registry = fakeRegistry();
-    RunnerOptions options = quietOptions();
-    options.filters = {"gamma*"};
-    EXPECT_TRUE(selectSections(registry, options).empty());
+    EXPECT_TRUE(selectSections(kFakeSections, {"gamma*"}).empty());
 }
 
 // ---------------------------------------------------------------------
-// Budget enforcement
-
-TEST(Runner, BudgetTruncatesSlowSectionsInsteadOfOvershooting)
-{
-    Registry registry;
-    registry.add(SectionSpec{
-        "slow", "perf", "sleeps until told to stop",
-        [](const RunOptions& opts, Report& report) {
-            int completed = 0;
-            for (int i = 0; i < 1000; ++i) {
-                if (opts.budgetExpired()) {
-                    report.truncated();
-                    break;
-                }
-                std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                ++completed;
-            }
-            report.info("completed", completed);
-        }});
-    RunnerOptions options = quietOptions();
-    options.budget_ms = 30;
-    const RunReport report = runSections(registry, options);
-    ASSERT_EQ(report.sections.size(), 1u);
-    EXPECT_TRUE(report.sections[0].truncated);
-    // Polled bail-out: far fewer than the 1000 x 2ms the loop wanted.
-    ASSERT_EQ(report.sections[0].metrics.size(), 1u);
-    EXPECT_LT(report.sections[0].metrics[0].value, 500.0);
-    EXPECT_GT(report.sections[0].metrics[0].value, 0.0);
-}
-
-TEST(Runner, GenerousBudgetDoesNotTruncate)
-{
-    Registry registry;
-    registry.add(SectionSpec{"quick", "perf", "",
-                             [](const RunOptions& opts, Report& report) {
-                                 EXPECT_FALSE(opts.budgetExpired());
-                                 report.info("v", 1.0);
-                             }});
-    RunnerOptions options = quietOptions();
-    options.budget_ms = 60000;
-    const RunReport report = runSections(registry, options);
-    ASSERT_EQ(report.sections.size(), 1u);
-    EXPECT_FALSE(report.sections[0].truncated);
-    EXPECT_FALSE(report.sections[0].over_budget);
-}
-
-TEST(RunOptions, ZeroBudgetNeverExpires)
-{
-    RunOptions options;
-    options.budget_ms = 0;
-    options.section_start = std::chrono::steady_clock::now() -
-                            std::chrono::hours(1);
-    EXPECT_FALSE(options.budgetExpired());
-    options.budget_ms = 1;
-    EXPECT_TRUE(options.budgetExpired());
-}
-
-// ---------------------------------------------------------------------
-// Interleaved repetition aggregation
-
-TEST(Runner, RepsAggregateMedianMinStddevAndStability)
-{
-    // Deterministic metric repeats exactly; the "timing" metric varies
-    // per round via shared state (rounds run 1,2,3 -> median 2, min 1).
-    auto counter = std::make_shared<int>(0);
-    Registry registry;
-    registry.add(SectionSpec{
-        "fake", "perf", "",
-        [counter](const RunOptions&, Report& report) {
-            report.info("det_constant", 42.0);
-            report.lower("wall_like", static_cast<double>(++*counter),
-                         false);
-        }});
-    RunnerOptions options = quietOptions();
-    options.reps = 3;
-    const RunReport report = runSections(registry, options);
-    ASSERT_EQ(report.sections.size(), 1u);
-    const SectionResult& s = report.sections[0];
-    EXPECT_TRUE(s.digest_stable);
-    ASSERT_EQ(s.metrics.size(), 2u);
-    EXPECT_EQ(s.metrics[0].name, "det_constant");
-    EXPECT_TRUE(s.metrics[0].stable);
-    EXPECT_EQ(s.metrics[0].value, 42.0);
-    EXPECT_EQ(s.metrics[0].stddev, 0.0);
-    EXPECT_EQ(s.metrics[1].name, "wall_like");
-    EXPECT_EQ(s.metrics[1].value, 2.0);  // median of 1,2,3
-    EXPECT_EQ(s.metrics[1].min, 1.0);
-    EXPECT_GT(s.metrics[1].stddev, 0.0);
-    EXPECT_TRUE(report.deterministic());
-}
-
-TEST(Runner, DriftingDeterministicMetricIsFlagged)
-{
-    auto counter = std::make_shared<int>(0);
-    Registry registry;
-    registry.add(SectionSpec{
-        "drifty", "perf", "",
-        [counter](const RunOptions&, Report& report) {
-            report.info("should_repeat", static_cast<double>(++*counter));
-        }});
-    RunnerOptions options = quietOptions();
-    options.reps = 2;
-    const RunReport report = runSections(registry, options);
-    ASSERT_EQ(report.sections.size(), 1u);
-    EXPECT_FALSE(report.sections[0].metrics[0].stable);
-    // A deterministic value folds into the digest, so drift shows there
-    // too.
-    EXPECT_FALSE(report.sections[0].digest_stable);
-    EXPECT_FALSE(report.deterministic());
-}
+// The section digest
 
 TEST(Report, DigestCoversDeterministicContentOnly)
 {
-    Report a, b;
-    a.higher("x", 1.0, true);
-    b.higher("x", 1.0, true);
-    a.lower("wall", 100.0, false);
-    b.lower("wall", 250.0, false);  // non-det: digest unaffected
-    EXPECT_EQ(a.digestHex(), b.digestHex());
-    b.higher("y", 2.0, true);
-    EXPECT_NE(a.digestHex(), b.digestHex());
-    EXPECT_EQ(a.digestHex().size(), 16u);
+    // The digest is FNV-1a over "<name>=<IEEE bits>\n" per pin plus the
+    // folded text, in order, and over nothing else.
+    Report report;
+    report.pin("x", 1.0);
+    report.digest("text");
+    uint64_t fnv = 14695981039346656037ULL;
+    for (const char c : std::string("x=3ff0000000000000\ntext")) {
+        fnv ^= static_cast<uint8_t>(c);
+        fnv *= 1099511628211ULL;
+    }
+    EXPECT_EQ(report.digestHex(),
+              strFormat("%016llx", static_cast<unsigned long long>(fnv)));
+    ASSERT_EQ(report.pins().size(), 1u);
+    EXPECT_EQ(report.pins()[0].name, "x");
+
+    // One ulp of one value, or one byte of folded text, moves it.
+    Report ulp;
+    ulp.pin("x", std::nextafter(1.0, 2.0));
+    ulp.digest("text");
+    EXPECT_NE(ulp.digestHex(), report.digestHex());
+    Report text;
+    text.pin("x", 1.0);
+    text.digest("texT");
+    EXPECT_NE(text.digestHex(), report.digestHex());
 }
 
 // ---------------------------------------------------------------------
-// Schema validity + determinism goldens over the real registry
+// Golden parsing: malformed documents are rejected loudly
 
-class SmokeRun : public ::testing::Test
+TEST(BaselineParse, AcceptsWellFormedDocument)
 {
-  protected:
-    static RunReport
-    run(unsigned threads)
-    {
-        Registry registry;
-        registerAllSections(registry);
-        RunnerOptions options = quietOptions();
-        options.smoke = true;
-        options.threads = threads;
-        return runSections(registry, options);
-    }
-};
-
-TEST_F(SmokeRun, EverySectionCompletesAndReportIsSchemaValid)
-{
-    const RunReport report = run(1);
-    EXPECT_EQ(report.sections.size(), 17u);
-    const json::Value doc = reportJson(report);
-    const std::vector<std::string> violations = validateBenchReport(doc);
-    EXPECT_TRUE(violations.empty())
-        << "first violation: " << violations.front();
-    for (const SectionResult& s : report.sections) {
-        EXPECT_FALSE(s.truncated) << s.name;
-        EXPECT_FALSE(s.over_budget) << s.name;
-        EXPECT_FALSE(s.metrics.empty()) << s.name;
-        EXPECT_NE(s.determinism_digest, "0000000000000000") << s.name;
-    }
-    // The emitted JSON round-trips through the parser unchanged.
-    const json::ParseResult parsed = json::parse(doc.dump(2));
-    ASSERT_TRUE(parsed.ok()) << parsed.error;
-    EXPECT_TRUE(validateBenchReport(*parsed.value).empty());
-}
-
-TEST_F(SmokeRun, DigestsByteIdenticalAcrossRunsAndThreadCounts)
-{
-    const RunReport first = run(1);
-    const RunReport second = run(1);
-    const RunReport wide = run(4);
-    ASSERT_EQ(first.sections.size(), second.sections.size());
-    ASSERT_EQ(first.sections.size(), wide.sections.size());
-    for (size_t i = 0; i < first.sections.size(); ++i) {
-        EXPECT_EQ(first.sections[i].determinism_digest,
-                  second.sections[i].determinism_digest)
-            << first.sections[i].name << " drifted between runs";
-        EXPECT_EQ(first.sections[i].determinism_digest,
-                  wide.sections[i].determinism_digest)
-            << first.sections[i].name
-            << " depends on the campaign thread count";
-        EXPECT_TRUE(first.sections[i].digest_stable)
-            << first.sections[i].name;
-    }
-    EXPECT_TRUE(first.deterministic());
-    EXPECT_TRUE(wide.deterministic());
-}
-
-// ---------------------------------------------------------------------
-// Schema checker rejects malformed documents
-
-TEST(Schema, FlagsEveryStructuralViolation)
-{
-    EXPECT_FALSE(
-        validateBenchReport(json::parseOrDie("[1, 2]")).empty());
-    // A minimal valid document...
-    const char* good = R"({
-        "schema_version": 1,
-        "tier": "smoke",
-        "reps": 1,
-        "host_fingerprint": {},
-        "sections": [{
-            "name": "s", "suite": "perf", "wall_ms": 1.5,
-            "over_budget": false, "truncated": false,
-            "determinism_digest": "0123456789abcdef",
-            "digest_stable": true,
-            "metrics": {"m": {"value": 1.0, "dir": "higher",
-                              "det": true}}
-        }]
+    const char* text = R"({
+        "sec": {
+            "digest": "0123456789abcdef",
+            "metrics": {"tput": 100.5, "count": 3}
+        },
+        "empty": {"digest": "fedcba9876543210", "metrics": {}}
     })";
-    EXPECT_TRUE(validateBenchReport(json::parseOrDie(good)).empty());
-    // ...and targeted breakages of it.
+    const GoldenParseResult result =
+        parseGolden(json::parseOrDie(text), "golden.json");
+    ASSERT_TRUE(result.ok()) << result.error;
+    ASSERT_EQ(result.sections.size(), 2u);
+    const GoldenSection* sec = findGoldenSection(result.sections, "sec");
+    ASSERT_NE(sec, nullptr);
+    EXPECT_EQ(sec->digest, "0123456789abcdef");
+    ASSERT_EQ(sec->metrics.size(), 2u);
+    EXPECT_EQ(sec->metrics[0].name, "tput");
+    EXPECT_EQ(sec->metrics[0].value, 100.5);
+    EXPECT_EQ(sec->metrics[1].value, 3.0);  // an integer widens
+    EXPECT_TRUE(findGoldenSection(result.sections, "empty")->metrics.empty());
+}
+
+TEST(BaselineParse, RejectsMalformationsWithUsefulMessages)
+{
     struct Case
     {
-        const char* find;
-        const char* replace;
+        const char* doc;
+        const char* expect;  ///< substring the message must contain
     };
-    for (const Case c : std::initializer_list<Case>{
-             {"\"schema_version\": 1", "\"schema_version\": 99"},
-             {"\"tier\": \"smoke\"", "\"tier\": \"fast\""},
-             {"\"reps\": 1", "\"reps\": 0"},
-             {"\"suite\": \"perf\"", "\"suite\": \"\""},
-             {"\"wall_ms\": 1.5", "\"wall_ms\": -1"},
-             {"\"0123456789abcdef\"", "\"0123456789ABCDEF\""},
-             {"\"0123456789abcdef\"", "\"123\""},
-             {"\"dir\": \"higher\"", "\"dir\": \"up\""},
-             {"\"det\": true", "\"det\": 1"}}) {
-        std::string text = good;
-        const size_t at = text.find(c.find);
-        ASSERT_NE(at, std::string::npos) << c.find;
-        text.replace(at, std::string(c.find).size(), c.replace);
-        EXPECT_FALSE(validateBenchReport(json::parseOrDie(text)).empty())
-            << "accepted: " << c.replace;
+    const std::vector<Case> cases = {
+        {R"([1])", "top level must be an object"},
+        {R"({"a": {"digest": "0123456789abcdef", "metrics": {}},
+             "a": {"digest": "0123456789abcdef", "metrics": {}}})",
+         "duplicate section \"a\""},
+        {R"({"a": 1})", "section \"a\" must be an object"},
+        {R"({"a": {"digest": "0123456789abcdef",
+                   "metrics": {"m": "fast"}}})",
+         "section \"a\" metric \"m\" must be a number"},
+        {R"({"a": {"digest": "0123456789abcdef",
+                   "metrics": {"m": 1, "m": 2}}})",
+         "duplicate section \"a\" metric \"m\""},
+        {R"({"a": {"digest": "0123456789ABCDEF", "metrics": {}}})",
+         "section \"a\": digest must be 16 lowercase hex digits"},
+        {R"({"a": {"digest": "123", "metrics": {}}})",
+         "section \"a\": digest must be 16 lowercase hex digits"},
+        {R"({"a": {"metrics": {}}})",
+         "section \"a\": digest must be 16 lowercase hex digits"},
+        {R"({"a": {"digest": "0123456789abcdef"}})",
+         "section \"a\": metrics must be an object"},
+        {R"({"a": {"digest": "0123456789abcdef", "metrics": []}})",
+         "section \"a\": metrics must be an object"},
+        {R"({"a": {"digest": "0123456789abcdef", "metrics": {},
+                   "tier": "smoke"}})",
+         "section \"a\": unknown field \"tier\""},
+    };
+    for (const Case& c : cases) {
+        const json::ParseResult doc = json::parse(c.doc);
+        ASSERT_TRUE(doc.ok()) << doc.error << "\n" << c.doc;
+        const GoldenParseResult result =
+            parseGolden(*doc.value, "bench/BASELINE.json");
+        ASSERT_FALSE(result.ok()) << c.doc;
+        EXPECT_TRUE(result.sections.empty()) << c.doc;
+        EXPECT_NE(result.error.find(c.expect), std::string::npos)
+            << "message \"" << result.error << "\" lacks \"" << c.expect
+            << "\"";
+        // Every message names the file so CI logs are self-explanatory.
+        EXPECT_EQ(result.error.rfind("bench/BASELINE.json: ", 0), 0u)
+            << result.error;
     }
+    const GoldenParseResult missing = loadGolden("no/such/golden.json");
+    EXPECT_EQ(missing.error, "no/such/golden.json: cannot open");
+}
+
+// ---------------------------------------------------------------------
+// Golden round trip and mismatches
+
+Report
+sampleRun()
+{
+    Report report;
+    report.pin("p99_ms", 1.5);
+    report.pin("count", 7.0);
+    report.pin("ratio", 0.1);
+    report.digest("folded text");
+    return report;
+}
+
+GoldenSection
+goldenOf(const Report& report)
+{
+    json::Value doc = json::Value::object();
+    doc.set("sec", goldenEntry(report));
+    const GoldenParseResult parsed =
+        parseGolden(json::parseOrDie(doc.dump(2)), "golden.json");
+    EXPECT_TRUE(parsed.ok()) << parsed.error;
+    return parsed.sections.at(0);
+}
+
+TEST(Golden, WriteParseRoundTripIsExact)
+{
+    const Report run = sampleRun();
+    const GoldenSection golden = goldenOf(run);
+    EXPECT_EQ(golden.name, "sec");
+    EXPECT_EQ(golden.digest, run.digestHex());
+    EXPECT_TRUE(goldenMismatches(golden, run).empty());
+}
+
+TEST(Ratchet, RelZeroPinsExactAndPerturbationFails)
+{
+    const GoldenSection golden = goldenOf(sampleRun());
+    Report perturbed;
+    perturbed.pin("p99_ms", std::nextafter(1.5, 0.0));
+    perturbed.pin("count", 7.0);
+    perturbed.pin("ratio", 0.1);
+    perturbed.digest("folded text");
+    const std::vector<std::string> out = goldenMismatches(golden, perturbed);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].rfind("sec: digest: golden ", 0), 0u) << out[0];
+    EXPECT_EQ(out[1], "sec: metric \"p99_ms\": golden 1.5, measured "
+                      "1.4999999999999998");
+}
+
+TEST(Ratchet, MetricMissingFromRunFails)
+{
+    const GoldenSection golden = goldenOf(sampleRun());
+    Report run;
+    run.pin("p99_ms", 1.5);
+    run.pin("count", 7.0);
+    run.digest("folded text");
+    const std::vector<std::string> out = goldenMismatches(golden, run);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[1], "sec: metric \"ratio\": golden 0.10000000000000001, "
+                      "not measured");
+}
+
+TEST(Golden, NewOrDoublePinnedMetricFailsUntilRewritten)
+{
+    const GoldenSection golden = goldenOf(sampleRun());
+    Report run = sampleRun();
+    run.pin("brand_new", 2.5);
+    run.pin("count", 7.0);
+    const std::vector<std::string> out = goldenMismatches(golden, run);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[1],
+              "sec: metric \"brand_new\": not in the golden, measured 2.5");
+    EXPECT_EQ(out[2], "sec: metric \"count\" is pinned twice");
+}
+
+void
+widthIndependent(const RunOptions& options, Report& report)
+{
+    report.pin("smoke", options.smoke ? 1.0 : 0.0);
+}
+
+void
+widthDependent(const RunOptions& options, Report& report)
+{
+    report.pin("width", static_cast<double>(options.threads));
+}
+
+TEST(Ratchet, InternallyNonDeterministicRunFails)
+{
+    // The golden check runs a section at widths 1 and 4; output that
+    // depends on the width cannot match one golden at both.
+    Report steady;
+    widthIndependent(RunOptions{true, 1}, steady);
+    EXPECT_TRUE(checkSection({"steady", "fake", widthIndependent},
+                             goldenOf(steady))
+                    .empty());
+
+    Report narrow;
+    widthDependent(RunOptions{true, 1}, narrow);
+    const std::vector<std::string> out = checkSection(
+        {"drifty", "fake", widthDependent}, goldenOf(narrow));
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].rfind("width 4: sec: digest: golden ", 0), 0u)
+        << out[0];
+    EXPECT_EQ(out[1], "width 4: sec: metric \"width\": golden 1, measured 4");
 }
 
 }  // namespace

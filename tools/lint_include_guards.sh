@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Include-guard lint: every header's guard must be derived from its
 # repo-relative path (src/ stripped), i.e. src/common/campaign.h ->
-# FAASFLOW_COMMON_CAMPAIGN_H_, bench/registry.h ->
-# FAASFLOW_BENCH_REGISTRY_H_. Path-derived guards are unique by
+# FAASFLOW_COMMON_CAMPAIGN_H_, bench/sections.h ->
+# FAASFLOW_BENCH_SECTIONS_H_. Path-derived guards are unique by
 # construction, so a stale copy-pasted guard (the bench/campaign.h shim
 # bug class: two headers sharing one guard silently empty-include) is
 # caught here and in CI.
