@@ -57,8 +57,8 @@ constexpr Section kSections[] = {
      "multi-tenant open-loop saturation sweep with/without admission control",
      runLoadSaturation},
     {"perf_hotpaths",
-     "simulator hot paths: event-queue rate, sweep p99, campaign "
-     "bit-identity, trace and profile counts",
+     "simulator hot paths: sweep p99, campaign bit-identity, trace "
+     "and profile counts",
      runPerfHotpaths},
     {"sec57_component_overhead",
      "per-worker engine CPU/memory and cluster scaling (paper §5.7)",

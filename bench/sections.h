@@ -72,10 +72,7 @@ class Report
     void
     digest(std::string_view text)
     {
-        for (const char c : text) {
-            fnv_ ^= static_cast<uint8_t>(c);
-            fnv_ *= 1099511628211ULL;
-        }
+        fnv_ = fnv1aFold(fnv_, text);
     }
 
     const std::vector<Pin>& pins() const { return pins_; }
@@ -89,7 +86,7 @@ class Report
 
   private:
     std::vector<Pin> pins_;
-    uint64_t fnv_ = 14695981039346656037ULL;
+    uint64_t fnv_ = kFnv1aBasis;
 };
 
 /** One benchmark section: a named paper figure, table or study. */

@@ -27,10 +27,8 @@ enum class ContainerState {
 class Container
 {
   public:
-    Container(uint64_t id, std::string function, int64_t mem_limit,
-              int deployment_version)
-        : id_(id), function_(std::move(function)), mem_limit_(mem_limit),
-          deployment_version_(deployment_version)
+    Container(uint64_t id, std::string function, int64_t mem_limit)
+        : id_(id), function_(std::move(function)), mem_limit_(mem_limit)
     {
     }
 
@@ -38,7 +36,6 @@ class Container
     const std::string& function() const { return function_; }
     ContainerState state() const { return state_; }
     int64_t memLimit() const { return mem_limit_; }
-    int deploymentVersion() const { return deployment_version_; }
 
     /** Number of invocations this container has served (warm reuses). */
     uint64_t useCount() const { return use_count_; }
@@ -51,7 +48,6 @@ class Container
     uint64_t id_;
     std::string function_;
     int64_t mem_limit_;
-    int deployment_version_;
     ContainerState state_ = ContainerState::Starting;
     uint64_t use_count_ = 0;
     SimTime last_used_;

@@ -37,8 +37,6 @@ ContainerPool::findIdle(const std::string& function)
         return nullptr;
     Container* best = nullptr;
     for (Container* c : it->second.idle) {
-        if (c->deploymentVersion() != deployment_version_)
-            continue;
         if (!best || c->lastUsed() > best->lastUsed() ||
             (c->lastUsed() == best->lastUsed() && c->id() < best->id()))
             best = c;
@@ -150,7 +148,7 @@ ContainerPool::tryCreate(const std::string& function,
 
     ++cold_starts_;
     auto container = std::make_unique<Container>(
-        next_id_++, function, spec.mem_provisioned, deployment_version_);
+        next_id_++, function, spec.mem_provisioned);
     Container* raw = container.get();
     containers_.emplace(raw->id(), std::move(container));
     ++fn_index_[function].count;
@@ -208,10 +206,9 @@ ContainerPool::release(Container* container)
         panic("release of non-busy container %llu",
               static_cast<unsigned long long>(container->id()));
     noteBusyChange(container->function(), -1);
-    if (container->deploymentVersion() != deployment_version_ ||
-        container->recycle_on_release_ ||
+    if (container->recycle_on_release_ ||
         config_.keep_alive == KeepAlivePolicy::AlwaysCold) {
-        // Red-black: an out-of-date container is recycled as soon as its
+        // Red-black: a recycled function's container goes as soon as its
         // in-flight task returns. AlwaysCold recycles unconditionally.
         destroy(container);
     } else {
@@ -248,23 +245,6 @@ ContainerPool::shrinkMemLimit(Container* container, int64_t new_limit)
 }
 
 void
-ContainerPool::recycleOldVersions(int current_version)
-{
-    deployment_version_ = current_version;
-    std::vector<Container*> stale;
-    for (auto& [id, c] : containers_) {
-        if (c->deploymentVersion() != current_version &&
-            (c->state() == ContainerState::Idle ||
-             c->state() == ContainerState::Starting)) {
-            stale.push_back(c.get());
-        }
-    }
-    for (Container* c : stale)
-        destroy(c);
-    serveWaiters();
-}
-
-void
 ContainerPool::recycleFunction(const std::string& function)
 {
     std::vector<Container*> stale;
@@ -294,7 +274,7 @@ ContainerPool::prewarm(const std::string& function, int count)
             break;
         ++prewarm_starts_;
         auto container = std::make_unique<Container>(
-            next_id_++, function, spec.mem_provisioned, deployment_version_);
+            next_id_++, function, spec.mem_provisioned);
         Container* raw = container.get();
         containers_.emplace(raw->id(), std::move(container));
         ++fn_index_[function].count;

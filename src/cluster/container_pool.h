@@ -104,10 +104,6 @@ class ContainerPool
      */
     void shrinkMemLimit(Container* container, int64_t new_limit);
 
-    /** Marks a deployment version obsolete: idle containers of older
-     *  versions are destroyed now, busy ones when released (red-black). */
-    void recycleOldVersions(int current_version);
-
     /**
      * Red-black recycle scoped to one function (used when a partition
      * iteration moves a function to another worker without disturbing
@@ -115,9 +111,6 @@ class ContainerPool
      * busy ones as soon as their in-flight task returns.
      */
     void recycleFunction(const std::string& function);
-
-    /** Current deployment version attached to newly created containers. */
-    void setDeploymentVersion(int version) { deployment_version_ = version; }
 
     /**
      * Reactive scale-up: starts up to `count` containers for `function`
@@ -215,7 +208,6 @@ class ContainerPool
         fn_index_;
     uint64_t next_id_ = 1;
     uint64_t crash_epoch_ = 0;
-    int deployment_version_ = 0;
     uint64_t cold_starts_ = 0;
     uint64_t warm_hits_ = 0;
     uint64_t pressure_evictions_ = 0;

@@ -7,17 +7,6 @@ namespace faasflow {
 
 namespace {
 
-/** SplitMix64 step used to expand a single seed into generator state. */
-uint64_t
-splitmix64(uint64_t& x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 uint64_t
 rotl(uint64_t x, int k)
 {
@@ -28,9 +17,12 @@ rotl(uint64_t x, int k)
 
 Rng::Rng(uint64_t seed)
 {
+    // SplitMix64 expands the single seed into generator state.
     uint64_t x = seed;
-    for (auto& s : s_)
-        s = splitmix64(x);
+    for (auto& s : s_) {
+        x += kSplitMix64Gamma;
+        s = splitMix64(x);
+    }
 }
 
 uint64_t

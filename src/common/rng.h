@@ -7,6 +7,22 @@
 
 namespace faasflow {
 
+/** The SplitMix64 increment, 2^64 divided by the golden ratio. */
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * The SplitMix64 output finalizer: a bijective avalanche of all 64 bits.
+ * Rng seeding runs it over a gamma-stepped counter; stateless draws (a
+ * per-invocation seed, a switch branch) run it over their own mix.
+ */
+constexpr uint64_t
+splitMix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /**
  * Deterministic pseudo-random number generator (xoshiro256**), seeded via
  * SplitMix64.
@@ -19,7 +35,7 @@ namespace faasflow {
 class Rng
 {
   public:
-    explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
+    explicit Rng(uint64_t seed = kSplitMix64Gamma);
 
     /** Next raw 64-bit value. */
     uint64_t next();

@@ -76,15 +76,4 @@ join(const std::vector<std::string>& items, std::string_view sep)
     return out;
 }
 
-uint64_t
-fnv1a(std::string_view s)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 }  // namespace faasflow

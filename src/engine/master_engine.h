@@ -3,47 +3,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/rng.h"
 #include "engine/runtime_context.h"
 #include "engine/service_queue.h"
-#include "engine/task_executor.h"
+#include "engine/trigger.h"
 #include "engine/types.h"
+#include "engine/worker_engine.h"
 
 namespace faasflow::engine {
-
-/**
- * The MasterSP executor stub on one worker: receives task assignments
- * from the central engine, dispatches them into the container runtime,
- * and returns the execution state. It makes no triggering decisions.
- */
-class ExecutorAgent
-{
-  public:
-    ExecutorAgent(RuntimeContext& ctx, int worker_index, Rng rng);
-
-    /**
-     * Runs one assigned node; `on_result` fires on the worker when the
-     * function finished (the caller ships the state back to the master).
-     * `drive` is the node's drive epoch at assignment: a dispatch whose
-     * epoch is stale by the time it surfaces belongs to a superseded run
-     * and is dropped.
-     */
-    void execute(Invocation& inv, workflow::NodeId node, uint32_t drive,
-                 std::function<void(SimTime exec_time)> on_result);
-
-    int workerIndex() const { return worker_index_; }
-    ServiceQueue& queue() { return queue_; }
-    TaskExecutor& executor() { return executor_; }
-
-  private:
-    RuntimeContext& ctx_;
-    int worker_index_;
-    ServiceQueue queue_;
-    TaskExecutor executor_;
-};
 
 /**
  * The central workflow engine of HyperFlow-serverless (§2.2): keeps all
@@ -57,7 +26,8 @@ class MasterEngine
   public:
     MasterEngine(RuntimeContext& ctx, Rng rng);
 
-    void setAgents(std::vector<ExecutorAgent*> agents);
+    /** The per-worker engines assigned tasks run on, by worker index. */
+    void setWorkers(std::vector<WorkerEngine*> workers);
 
     /** Called when an invocation fully completes (all sinks done). */
     void setSinkNotifier(std::function<void(Invocation&)> notifier);
@@ -77,10 +47,14 @@ class MasterEngine
     void restoreInvocation(Invocation& inv);
 
     /** Releases a finished invocation's state. */
-    void cleanup(uint64_t invocation_id);
+    void cleanup(uint64_t invocation_id) { state_.erase(invocation_id); }
 
     /** Live State counters held for one invocation (leak checks). */
-    size_t stateCount(uint64_t invocation_id) const;
+    size_t
+    stateCount(uint64_t invocation_id) const
+    {
+        return state_.count(invocation_id);
+    }
 
     /**
      * Master failover, step 1: the engine process dies. All central
@@ -104,13 +78,13 @@ class MasterEngine
   private:
     RuntimeContext& ctx_;
     ServiceQueue queue_;
-    std::vector<ExecutorAgent*> agents_;
+    std::vector<WorkerEngine*> workers_;
     std::function<void(Invocation&)> sink_notifier_;
     bool alive_ = true;
     uint32_t incarnation_ = 0;
 
-    /** Central state: invocation -> (node -> predecessors done). */
-    std::map<uint64_t, std::map<workflow::NodeId, int>> state_;
+    /** Central State: predecessor-done counters of every node. */
+    PredecessorCounters state_;
 
     void deliver(Invocation& inv, workflow::NodeId target);
     void trigger(Invocation& inv, workflow::NodeId node);

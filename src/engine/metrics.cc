@@ -1,5 +1,6 @@
 #include "engine/metrics.h"
 
+#include "common/string_util.h"
 #include "workflow/analysis.h"
 
 namespace faasflow::engine {
@@ -65,15 +66,9 @@ MetricsCollector::recordShed(const std::string& workflow,
 uint64_t
 invocationOutputDigest(const Invocation& inv)
 {
-    uint64_t h = 14695981039346656037ull;
-    const auto byte = [&h](uint8_t b) {
-        h ^= b;
-        h *= 1099511628211ull;
-    };
-    const auto word = [&byte](uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<uint8_t>((v >> (8 * i)) & 0xff));
-    };
+    uint64_t h = kFnv1aBasis;
+    const auto byte = [&h](uint8_t b) { h = fnv1aStep(h, b); };
+    const auto word = [&h](uint64_t v) { h = fnv1aFoldWord(h, v); };
 
     const auto& dag = inv.wf->dag;
     for (const auto& node : dag.nodes()) {
@@ -98,10 +93,8 @@ invocationOutputDigest(const Invocation& inv)
                  ? static_cast<uint64_t>(out_bytes)
                  : 0);
         // Actual blob contents, when bodies are attached.
-        if (inv.node_payload[i]) {
-            for (const char c : *inv.node_payload[i])
-                byte(static_cast<uint8_t>(c));
-        }
+        if (inv.node_payload[i])
+            h = fnv1aFold(h, *inv.node_payload[i]);
     }
     for (const auto& [sw, branch] : inv.switch_choice) {
         word(static_cast<uint64_t>(static_cast<uint32_t>(sw)));

@@ -21,9 +21,9 @@ std::string dataKey(const Invocation& inv, workflow::NodeId node);
 /**
  * Executes one DAG node on one worker: container acquisition (all
  * foreach instances), input fetch through FaaStore, core-bound
- * execution, and output save. Shared by both the MasterSP executor
- * agents and the WorkerSP per-worker engines — the two patterns differ
- * in *triggering*, not in how a function body runs.
+ * execution, and output save. Each per-worker engine owns one and runs
+ * it under both control patterns — the two differ in *triggering*, not
+ * in how a function body runs.
  *
  * A foreach node with width w acquires w containers and runs w
  * instances in parallel; inputs are fetched once per node (the worker

@@ -227,27 +227,6 @@ struct Invocation
 };
 
 /**
- * Deterministic switch-branch draw: a pure function of the invocation's
- * control seed and the switch id (splitmix64 finalizer), so any engine
- * — or a master replaying the progress log after a failover — derives
- * the same branch without coordination.
- */
-inline int
-chooseSwitchBranch(const Invocation& inv, int switch_id, int branches)
-{
-    uint64_t x = inv.ctl_seed ^
-                 (0x9e3779b97f4a7c15ull *
-                  (static_cast<uint64_t>(static_cast<uint32_t>(switch_id)) +
-                   1));
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<int>(x % static_cast<uint64_t>(branches));
-}
-
-/**
  * Records the causal "dep" flow arrows into a node's freshly-opened
  * trace span: one from each DAG predecessor's span (the data/control
  * dependency that released this node), or from the invocation root for
@@ -270,21 +249,6 @@ recordNodeSpanFlows(obs::TraceRecorder* trace, const Invocation& inv,
     }
     if (!any)
         trace->flow("dep", inv.inv_span, to, at);
-}
-
-/**
- * Marks the start of a real execution of `node` under `drive`,
- * flagging a same-epoch double start (must never happen; the chaos
- * campaign fails the run if it does).
- */
-inline void
-noteExecution(Invocation& inv, workflow::NodeId node, uint32_t drive)
-{
-    const size_t idx = static_cast<size_t>(node);
-    if (inv.node_ran[idx] && inv.node_run_epoch[idx] == drive)
-        ++inv.record.duplicate_executions;
-    inv.node_ran[idx] = 1;
-    inv.node_run_epoch[idx] = drive;
 }
 
 }  // namespace faasflow::engine

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "engine/recovery.h"
 #include "workflow/analysis.h"
@@ -12,19 +13,13 @@ namespace faasflow {
 namespace {
 
 /** SplitMix64 finalizer over (seed, id): gives every invocation an
- *  independent control-flow seed for chooseSwitchBranch — deterministic
+ *  independent control-flow seed for its switch draws — deterministic
  *  in the system seed and the invocation id alone, so a replayed or
  *  re-driven switch re-derives the same branch. */
 uint64_t
 mixSeed(uint64_t seed, uint64_t id)
 {
-    uint64_t x = seed + 0x9e3779b97f4a7c15ull * (id + 1);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
+    return splitMix64(seed + kSplitMix64Gamma * (id + 1));
 }
 
 }  // namespace
@@ -72,13 +67,21 @@ System::System(SystemConfig config)
         registry_, config_.engine, config_.data_mode, &trace_, &profile_,
         progress_log_.get(), config_.durability_mode});
 
-    // Both engine stacks are constructed; control_mode selects which one
-    // invocations flow through, so ablations can flip modes per System.
+    // One engine per worker serves both control patterns: WorkerSP
+    // triggers on it, MasterSP dispatches assigned tasks through it.
+    // Each worker still draws two splits, WorkerSP's first and MasterSP's
+    // second, and its engine takes the one of the configured mode. That
+    // keeps every stream where it was for both modes: the engine's
+    // service and execution jitter, and every split drawn after these
+    // (the master engine's), hence every seeded output.
+    const bool master_sp =
+        config_.control_mode == engine::ControlMode::MasterSP;
     for (size_t w = 0; w < cluster_->workerCount(); ++w) {
+        const Rng worker_sp_rng = rng_.split();
+        const Rng master_sp_rng = rng_.split();
         worker_engines_.push_back(std::make_unique<engine::WorkerEngine>(
-            *ctx_, static_cast<int>(w), rng_.split()));
-        agents_.push_back(std::make_unique<engine::ExecutorAgent>(
-            *ctx_, static_cast<int>(w), rng_.split()));
+            *ctx_, static_cast<int>(w),
+            master_sp ? master_sp_rng : worker_sp_rng));
     }
     std::vector<engine::WorkerEngine*> peers;
     for (auto& e : worker_engines_)
@@ -90,10 +93,7 @@ System::System(SystemConfig config)
     }
     master_engine_ =
         std::make_unique<engine::MasterEngine>(*ctx_, rng_.split());
-    std::vector<engine::ExecutorAgent*> agent_ptrs;
-    for (auto& a : agents_)
-        agent_ptrs.push_back(a.get());
-    master_engine_->setAgents(std::move(agent_ptrs));
+    master_engine_->setWorkers(peers);
     master_engine_->setSinkNotifier(
         [this](engine::Invocation& inv) { onSinkComplete(inv); });
 

@@ -267,7 +267,9 @@ class System
      *  tenant for plain invoke() — then feed the burn-rate monitor. */
     void setTenantSlo(const std::string& tenant, const obs::SloSpec& spec);
 
-    /** Per-worker engine utilisation/footprint (§5.7); WorkerSP only. */
+    /** Per-worker engine utilisation/footprint (§5.7), in both control
+     *  modes: under MasterSP the worker's engine serves the dispatches
+     *  the master assigns to it. */
     double workerEngineUtilisation(size_t worker) const;
     int64_t workerEngineMemory(size_t worker) const;
 
@@ -291,11 +293,10 @@ class System
     std::unique_ptr<storage::ProgressLog> progress_log_;
     std::unique_ptr<engine::RuntimeContext> ctx_;
 
-    // WorkerSP components.
+    // One engine per worker, for both control patterns, and the
+    // MasterSP central engine.
     std::vector<std::unique_ptr<engine::WorkerEngine>> worker_engines_;
-    // MasterSP components.
     std::unique_ptr<engine::MasterEngine> master_engine_;
-    std::vector<std::unique_ptr<engine::ExecutorAgent>> agents_;
 
     std::unique_ptr<scheduler::GraphScheduler> graph_scheduler_;
     std::map<std::string, std::unique_ptr<WorkflowState>> workflows_;

@@ -67,8 +67,10 @@ Autoscaler::tick()
         }
     }
     sim::Simulator& sim = system_.simulator();
+    // Re-arm as a background event while foreground work remains, so
+    // this tick and the telemetry sampler's cannot keep each other alive.
     if (sim.pendingEvents() > 0)
-        sim.schedule(config_.interval, [this] { tick(); });
+        sim.scheduleBackground(config_.interval, [this] { tick(); });
 }
 
 }  // namespace faasflow::load

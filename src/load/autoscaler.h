@@ -51,8 +51,9 @@ class Autoscaler
     explicit Autoscaler(System& system);
     Autoscaler(System& system, Config config);
 
-    /** First tick now, then every interval while simulator events
-     *  remain (the telemetry-sampler idiom, so the run still drains). */
+    /** First tick now, then every interval while foreground simulator
+     *  events remain. The re-arm is a background event, as in the
+     *  telemetry sampler, so the run still drains with both on. */
     void start();
 
     const Stats& stats() const { return stats_; }

@@ -10,30 +10,11 @@ namespace faasflow::obs {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-inline uint64_t
-fnv(uint64_t h, uint64_t v)
-{
-    // Byte-wise FNV-1a over the 8 bytes of v.
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 inline uint64_t
 fnvStr(uint64_t h, std::string_view s)
 {
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
-    h ^= 0xff;  // terminator so ("ab","c") != ("a","bc")
-    h *= kFnvPrime;
-    return h;
+    // Terminator byte so ("ab","c") != ("a","bc").
+    return fnv1aStep(fnv1aFold(h, s), 0xff);
 }
 
 json::Value
@@ -142,14 +123,14 @@ LogHistogram::quantile(double q) const
 uint64_t
 LogHistogram::fold(uint64_t h) const
 {
-    h = fnv(h, count_);
-    h = fnv(h, static_cast<uint64_t>(sum_));
-    h = fnv(h, static_cast<uint64_t>(max_));
+    h = fnv1aFoldWord(h, count_);
+    h = fnv1aFoldWord(h, static_cast<uint64_t>(sum_));
+    h = fnv1aFoldWord(h, static_cast<uint64_t>(max_));
     for (int b = 0; b < kBins; ++b) {
         const uint64_t c = bins_[static_cast<size_t>(b)];
         if (c != 0) {
-            h = fnv(h, static_cast<uint64_t>(b));
-            h = fnv(h, c);
+            h = fnv1aFoldWord(h, static_cast<uint64_t>(b));
+            h = fnv1aFoldWord(h, c);
         }
     }
     return h;
@@ -451,7 +432,7 @@ ProfileStore::digest() const
     // Domain order: the sorted maps provide it; within a key, the
     // histogram folds are fixed-order. Rolling-window state is excluded
     // — it is presentation state, not part of the mergeable algebra.
-    uint64_t h = kFnvOffset;
+    uint64_t h = kFnv1aBasis;
     for (const auto& [key, p] : nodes_) {
         h = fnvStr(h, key.first);
         h = fnvStr(h, key.second);
@@ -459,25 +440,25 @@ ProfileStore::digest() const
         h = p.queue_us.fold(h);
         h = p.sched_us.fold(h);
         h = p.coldstart_us.fold(h);
-        h = fnv(h, p.runs);
-        h = fnv(h, p.cold_starts);
+        h = fnv1aFoldWord(h, p.runs);
+        h = fnv1aFoldWord(h, p.cold_starts);
     }
     for (const auto& [key, p] : edges_) {
         h = fnvStr(h, key.first);
-        h = fnv(h, key.second);
+        h = fnv1aFoldWord(h, key.second);
         h = fnvStr(h, p.from);
         h = fnvStr(h, p.to);
-        h = fnv(h, static_cast<uint64_t>(p.spec_bytes));
+        h = fnv1aFoldWord(h, static_cast<uint64_t>(p.spec_bytes));
         h = p.bytes.fold(h);
         h = p.latency_us.fold(h);
-        h = fnv(h, p.local_hits);
-        h = fnv(h, p.remote_hits);
+        h = fnv1aFoldWord(h, p.local_hits);
+        h = fnv1aFoldWord(h, p.remote_hits);
     }
     for (const auto& [key, p] : tenants_) {
         h = fnvStr(h, key);
-        h = fnv(h, p.arrivals);
-        h = fnv(h, p.completions);
-        h = fnv(h, p.misses);
+        h = fnv1aFoldWord(h, p.arrivals);
+        h = fnv1aFoldWord(h, p.completions);
+        h = fnv1aFoldWord(h, p.misses);
         h = p.e2e_us.fold(h);
     }
     for (const auto& op : store_ops_) {

@@ -54,8 +54,10 @@ TelemetrySampler::tick(sim::Simulator& sim)
     samples_.push_back(std::move(sample));
     // Only re-arm while the simulation has other work queued; a sampler
     // must never keep a drained simulation spinning until the horizon.
+    // The tick is a background event, so another periodic tick pending
+    // beside it does not count as work.
     if (sim.pendingEvents() > 0)
-        sim.schedule(interval_, [this, &sim] { tick(sim); });
+        sim.scheduleBackground(interval_, [this, &sim] { tick(sim); });
     else
         active_ = false;
 }

@@ -19,8 +19,10 @@ namespace faasflow::obs {
  * container-pool warm counts, NIC utilization, storage queue depth...);
  * start() samples all of them immediately and then re-samples every
  * interval() for as long as the simulation still has work queued. The
- * sampler never keeps an otherwise-drained simulation alive: a tick
- * whose pop leaves the event queue empty records its sample and stops.
+ * sampler never keeps an otherwise-drained simulation alive: a tick that
+ * finds no foreground event pending records its sample and stops. Its
+ * re-arm is a background event (Simulator::scheduleBackground), so it
+ * never counts as work for another periodic tick either.
  *
  * Sampling only *reads* simulation state, so enabling telemetry cannot
  * change simulation results — identical seeds produce identical sample

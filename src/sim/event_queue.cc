@@ -25,7 +25,7 @@ firstChildOf(size_t i)
 }  // namespace
 
 EventId
-EventQueue::schedule(SimTime when, Callback fn)
+EventQueue::schedule(SimTime when, Callback fn, bool background)
 {
     uint32_t idx;
     if (free_head_ != kNilSlot) {
@@ -42,8 +42,11 @@ EventQueue::schedule(SimTime when, Callback fn)
     slot.fn = std::move(fn);
     slot.armed = true;
     slot.armed_seq = seq;
+    slot.background = background;
     heapPush(Key{when.micros(), (seq << kSlotBits) | idx});
     ++live_;
+    if (background)
+        ++background_;
     ++stats_.scheduled;
     stats_.max_heap = std::max(stats_.max_heap, heap_.size());
     return EventId{(static_cast<uint64_t>(idx) << 32) | slot.gen};
@@ -93,8 +96,11 @@ void
 EventQueue::retireSlot(uint32_t idx)
 {
     Slot& slot = slots_[idx];
+    if (slot.background)
+        --background_;
     slot.fn = nullptr;
     slot.armed = false;
+    slot.background = false;
     if (++slot.gen == 0)  // keep EventId 0 invalid across wraparound
         slot.gen = 1;
     slot.next_free = free_head_;

@@ -54,14 +54,19 @@ class EventQueue
         size_t max_heap = 0;         ///< peak heap size incl. stale keys
     };
 
-    /** Schedules `fn` at absolute time `when`; returns a cancellable id. */
-    EventId schedule(SimTime when, Callback fn);
+    /** Schedules `fn` at absolute time `when`; returns a cancellable id.
+     *  A `background` event fires like any other but is counted apart
+     *  (see backgroundCount). */
+    EventId schedule(SimTime when, Callback fn, bool background = false);
 
     /** Cancels a pending event; returns false if already fired/cancelled. */
     bool cancel(EventId id);
 
     bool empty() const { return live_ == 0; }
     size_t liveCount() const { return live_; }
+
+    /** Live events scheduled as background. */
+    size_t backgroundCount() const { return background_; }
 
     /** Timestamp of the earliest live event; SimTime::max() when empty. */
     SimTime nextTime() const;
@@ -90,6 +95,7 @@ class EventQueue
         uint32_t gen = 1;
         uint32_t next_free = kNilSlot;
         bool armed = false;
+        bool background = false;
     };
 
     /** Bits of a packed (seq, slot) word reserved for the slot index.
@@ -122,6 +128,7 @@ class EventQueue
     std::vector<Key> heap_;
     uint32_t free_head_ = kNilSlot;
     size_t live_ = 0;
+    size_t background_ = 0;
     uint64_t next_seq_ = 0;
     Stats stats_;
 

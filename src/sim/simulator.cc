@@ -21,6 +21,15 @@ Simulator::scheduleAt(SimTime when, Callback fn)
     return queue_.schedule(when, std::move(fn));
 }
 
+EventId
+Simulator::scheduleBackground(SimTime delay, Callback fn)
+{
+    if (delay < SimTime::zero())
+        panic("Simulator::scheduleBackground with negative delay %s",
+              delay.str().c_str());
+    return queue_.schedule(now_ + delay, std::move(fn), true);
+}
+
 bool
 Simulator::cancel(EventId id)
 {

@@ -29,6 +29,14 @@ class Simulator
     /** Schedules `fn` at an absolute timestamp (>= now()). */
     EventId scheduleAt(SimTime when, Callback fn);
 
+    /**
+     * Schedules a background event `delay` after now(): it fires on time
+     * like any other, but pendingEvents() does not count it. A periodic
+     * tick that re-arms only while events are pending therefore stops
+     * once the foreground work drains, even beside other such ticks.
+     */
+    EventId scheduleBackground(SimTime delay, Callback fn);
+
     /** Cancels a pending event; see EventQueue::cancel. */
     bool cancel(EventId id);
 
@@ -41,8 +49,12 @@ class Simulator
      */
     uint64_t runUntil(SimTime horizon);
 
-    /** Pending (non-cancelled) event count. */
-    size_t pendingEvents() const { return queue_.liveCount(); }
+    /** Pending (non-cancelled) foreground event count. */
+    size_t
+    pendingEvents() const
+    {
+        return queue_.liveCount() - queue_.backgroundCount();
+    }
 
     /** Total events processed since construction. */
     uint64_t processedEvents() const { return processed_; }

@@ -216,26 +216,6 @@ TEST(ContainerPoolTest, ShrinkMemLimitReturnsMemory)
     EXPECT_EQ(c->memLimit(), 192 * kMiB);
 }
 
-TEST(ContainerPoolTest, RedBlackVersionRecycle)
-{
-    Fixture f;
-    ContainerPool& pool = f.node->pool();
-    Container* busy = nullptr;
-    Container* idle = nullptr;
-    pool.acquire("f", [&](AcquireResult r) { busy = r.container; });
-    pool.acquire("f", [&](AcquireResult r) { idle = r.container; });
-    f.sim.run();
-    pool.release(idle);
-
-    pool.recycleOldVersions(1);
-    // Idle container of version 0 destroyed immediately; busy one lives
-    // until release.
-    EXPECT_EQ(pool.totalContainers(), 1);
-    EXPECT_EQ(busy->state(), ContainerState::Busy);
-    pool.release(busy);
-    EXPECT_EQ(pool.totalContainers(), 0);
-}
-
 TEST(ContainerPoolTest, RecycleFunctionScopedToOneFunction)
 {
     Fixture f;

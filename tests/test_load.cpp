@@ -6,6 +6,8 @@
  *  and campaign thread counts). */
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "load/spec.h"
 #include "load/trace.h"
 #include "obs/attribution.h"
+#include "obs/slo.h"
 #include "obs/trace_model.h"
 #include "workflow/wdl.h"
 #include "yamllite/yaml.h"
@@ -541,6 +544,95 @@ TEST(AutoscalerTest, ScalesUpUnderLoadAndIsDeterministic)
     const auto b = scenario();
     EXPECT_GT(std::get<0>(a), 0u);  // it ticked
     EXPECT_EQ(a, b);                // identical decisions and outcomes
+}
+
+// -------------------------------------------------------- Periodic ticks
+
+/**
+ * examples/load_scenario.yaml under every on/off combination of the
+ * telemetry sampler, the autoscaler, the online profiler and the SLO
+ * monitor. The sampler and the autoscaler each re-arm only while other
+ * work is pending, so every combination must drain, the two ticks
+ * together included; and the observers must not change what the tenants
+ * see.
+ */
+TEST(PeriodicTickTest, LoadScenarioDrainsUnderEveryObserverCombination)
+{
+    std::ifstream in(FAASFLOW_LOAD_SCENARIO);
+    ASSERT_TRUE(in) << FAASFLOW_LOAD_SCENARIO;
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string yaml = text.str();
+
+    // Tenant outcomes with every observer off, per autoscaler setting.
+    std::string reference[2];
+    for (int mask = 0; mask < 16; ++mask) {
+        const bool sampler = (mask & 1) != 0;
+        const bool autoscale = (mask & 2) != 0;
+        const bool profiler = (mask & 4) != 0;
+        const bool slo = (mask & 8) != 0;
+        const std::string label = strFormat(
+            "sampler=%d autoscaler=%d profiler=%d slo=%d", sampler,
+            autoscale, profiler, slo);
+
+        SystemConfig config = SystemConfig::faasflowFaastore();
+        config.profile_enabled = profiler;
+        config.telemetry_interval = SimTime::seconds(1);
+        System system(config);
+        auto wdl = workflow::parseWdlYaml(yaml);
+        ASSERT_TRUE(wdl.ok()) << wdl.error;
+        system.registerFunctions(wdl.functions);
+        const std::string wf = system.deploy(std::move(wdl.dag));
+        const auto doc = yaml::parse(yaml);
+        ASSERT_TRUE(doc.ok()) << doc.error;
+        LoadSpec spec = parseLoadSpec(*doc.value);
+        ASSERT_TRUE(spec.ok() && spec.present) << spec.error;
+        if (slo) {
+            for (const auto& tenant : spec.tenants)
+                system.setTenantSlo(tenant.name, obs::SloSpec{});
+        }
+        LoadDriver driver(system, std::move(spec), config.seed + 1, wf);
+        Autoscaler scaler(system);
+        driver.start();
+        if (autoscale)
+            scaler.start();
+        if (sampler)
+            system.startTelemetry();
+
+        // Bounded, so a run that never drains fails instead of hanging:
+        // the scenario drains within its 60 s horizon plus the 600 s
+        // container keep-alive.
+        system.simulator().runUntil(SimTime::seconds(3600));
+        // Every event ever scheduled, background ticks included, fired
+        // or was cancelled: nothing is left queued.
+        const auto& queue = system.simulator().queueStats();
+        EXPECT_EQ(queue.scheduled, queue.fired + queue.cancelled) << label;
+
+        std::string outcome;
+        for (const std::string& t : system.admissionTenants()) {
+            const auto& st = system.admissionStats(t);
+            const auto& e2e = system.metrics().tenantE2e(t);
+            outcome += strFormat(
+                "%s %llu %llu %llu %llu %llu %llu %.17g %.17g\n", t.c_str(),
+                static_cast<unsigned long long>(st.offered),
+                static_cast<unsigned long long>(st.admitted),
+                static_cast<unsigned long long>(st.deferred),
+                static_cast<unsigned long long>(st.shed),
+                static_cast<unsigned long long>(st.completed),
+                static_cast<unsigned long long>(st.timeouts), e2e.p50(),
+                e2e.p99());
+        }
+        outcome += strFormat(
+            "autoscaler %llu %llu %llu\n",
+            static_cast<unsigned long long>(scaler.stats().ticks),
+            static_cast<unsigned long long>(scaler.stats().scale_up_total),
+            static_cast<unsigned long long>(scaler.stats().scale_down_total));
+        EXPECT_GT(system.metrics().tenantCount("interactive"), 0u) << label;
+        if (!sampler && !profiler && !slo)
+            reference[autoscale] = outcome;
+        else
+            EXPECT_EQ(outcome, reference[autoscale]) << label;
+    }
 }
 
 // ------------------------------------------------- Determinism goldens

@@ -243,6 +243,33 @@ TEST(SystemTest, EngineOverheadAccounting)
     }
 }
 
+TEST(SystemTest, MasterSpWorkerGaugesReadTheDispatchingEngine)
+{
+    // Under MasterSP the central engine assigns each task to its
+    // worker's engine, so a worker that ran tasks shows dispatch work on
+    // top of the engine process's baseline CPU.
+    auto wdl = chainWdl();
+    System system(SystemConfig::hyperflowServerless());
+    system.registerFunctions(wdl.functions);
+    const std::string name = system.deploy(std::move(wdl.dag));
+    ClosedLoopClient client(system, name, 10);
+    client.start();
+    system.run();
+    ASSERT_EQ(system.metrics().count(name), 10u);
+    size_t ran = 0;
+    for (size_t w = 0; w < system.cluster().workerCount(); ++w) {
+        const auto& pool = system.cluster().worker(w).pool();
+        if (pool.coldStarts() + pool.warmHits() == 0)
+            continue;
+        ++ran;
+        EXPECT_GT(system.workerEngineUtilisation(w),
+                  engine::WorkerEngine::kBaselineCpu)
+            << "worker " << w;
+        EXPECT_EQ(system.workerEngineMemory(w), 47 * kMB);
+    }
+    EXPECT_GT(ran, 0u);
+}
+
 TEST(SystemTest, FeedbackCollectedDuringRuns)
 {
     auto wdl = chainWdl();

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/campaign.h"
+#include "common/string_util.h"
 #include "harness.h"
 
 namespace {
@@ -88,14 +89,11 @@ struct RunResult
 uint64_t
 digestSamples(const std::vector<double>& samples)
 {
-    uint64_t h = 14695981039346656037ull;
+    uint64_t h = kFnv1aBasis;
     for (const double s : samples) {
         uint64_t bits;
         std::memcpy(&bits, &s, sizeof(bits));
-        for (int i = 0; i < 8; ++i) {
-            h ^= (bits >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
+        h = fnv1aFoldWord(h, bits);
     }
     return h;
 }
@@ -290,19 +288,12 @@ runChaosReplica(const Options& opt, const benchmarks::Benchmark& bench,
     r.redriven_nodes = m.redrivenNodes(name);
 
     // Byte-match against the golden twin, and fold the run digest.
-    uint64_t h = 14695981039346656037ull;
-    const auto word = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
+    uint64_t h = kFnv1aBasis;
     for (const auto& [id, digest] : chaos.digests) {
         const auto g = golden.digests.find(id);
         if (g == golden.digests.end() || g->second != digest)
             ++r.digest_misses;
-        word(id);
-        word(digest);
+        h = fnv1aFoldWord(fnv1aFoldWord(h, id), digest);
     }
     r.digest = h;
 
