@@ -444,15 +444,4 @@ ContainerPool::peakConcurrency(const std::string& function) const
     return it == stats_.end() ? 0 : it->second.peak;
 }
 
-void
-ContainerPool::resetConcurrencyStats()
-{
-    stats_epoch_ = sim_.now();
-    for (auto& [fn, fs] : stats_) {
-        fs.busy_integral = 0.0;
-        fs.peak = fs.busy;
-        fs.last_change = stats_epoch_;
-    }
-}
-
 }  // namespace faasflow::cluster

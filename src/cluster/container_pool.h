@@ -154,13 +154,11 @@ class ContainerPool
     }
 
     /** Time-weighted average of busy containers for `function` since the
-     *  last resetConcurrencyStats() — the paper's Scale(v) feedback. */
+     *  pool was built — the paper's Scale(v) feedback. */
     double averageConcurrency(const std::string& function) const;
 
-    /** Peak concurrent busy containers since the last reset. */
+    /** Peak concurrent busy containers since the pool was built. */
     int peakConcurrency(const std::string& function) const;
-
-    void resetConcurrencyStats();
 
     uint64_t coldStarts() const { return cold_starts_; }
     uint64_t warmHits() const { return warm_hits_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace faasflow {
 
@@ -134,55 +133,6 @@ Percentiles::min() const
         return 0.0;
     ensureSorted();
     return samples_.front();
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    assert(hi > lo && buckets > 0);
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-        size_t idx = static_cast<size_t>((x - lo_) / width);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-}
-
-double
-Histogram::bucketLow(size_t i) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + width * static_cast<double>(i);
-}
-
-std::string
-Histogram::str() const
-{
-    uint64_t peak = 1;
-    for (uint64_t c : counts_)
-        peak = std::max(peak, c);
-    std::string out;
-    char line[160];
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        const int bars = static_cast<int>(counts_[i] * 40 / peak);
-        std::snprintf(line, sizeof(line), "[%10.3g) %8llu |%.*s\n",
-                      bucketLow(i),
-                      static_cast<unsigned long long>(counts_[i]), bars,
-                      "****************************************");
-        out += line;
-    }
-    return out;
 }
 
 }  // namespace faasflow

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace faasflow {
@@ -72,39 +71,6 @@ class Percentiles
     mutable bool sorted_ = true;
 
     void ensureSorted() const;
-};
-
-/**
- * Fixed-width linear histogram for distribution sanity checks in tests
- * and for the component-overhead experiments.
- */
-class Histogram
-{
-  public:
-    /** Buckets [lo, hi) split into `buckets` equal bins plus under/overflow. */
-    Histogram(double lo, double hi, size_t buckets);
-
-    void add(double x);
-
-    size_t bucketCount() const { return counts_.size(); }
-    uint64_t bucket(size_t i) const { return counts_[i]; }
-    uint64_t underflow() const { return underflow_; }
-    uint64_t overflow() const { return overflow_; }
-    uint64_t total() const { return total_; }
-
-    /** Lower bound of bucket i. */
-    double bucketLow(size_t i) const;
-
-    /** Multi-line ASCII rendering for logs. */
-    std::string str() const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<uint64_t> counts_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
 };
 
 }  // namespace faasflow

@@ -42,25 +42,10 @@ MetricsCollector::add(const InvocationRecord& record)
     pw.recoveries += record.recoveries;
     pw.retries += record.retries;
     pw.redriven_nodes += record.redriven_nodes;
-    pw.master_recoveries += record.master_recoveries;
     pw.duplicate_executions += record.duplicate_executions;
     pw.rolled_back_nodes += record.rolled_back_nodes;
-    if (!record.tenant.empty()) {
-        PerTenant& pt = per_tenant_[record.tenant];
-        pt.e2e_ms.add(record.e2e().millisF());
-        if (record.timed_out)
-            ++pt.timeouts;
-    }
-}
-
-void
-MetricsCollector::recordShed(const std::string& workflow,
-                             const std::string& tenant)
-{
-    // Shed arrivals never produce an InvocationRecord; count them here
-    // so goodput/shed-rate reporting has a single source of truth.
-    (void)per_workflow_[workflow];  // ensure the workflow appears
-    ++per_tenant_[tenant].sheds;
+    if (!record.tenant.empty())
+        per_tenant_[record.tenant].add(record.e2e().millisF());
 }
 
 uint64_t
@@ -92,9 +77,6 @@ invocationOutputDigest(const Invocation& inv)
         word(inv.node_done[i] && !inv.node_skipped[i]
                  ? static_cast<uint64_t>(out_bytes)
                  : 0);
-        // Actual blob contents, when bodies are attached.
-        if (inv.node_payload[i])
-            h = fnv1aFold(h, *inv.node_payload[i]);
     }
     for (const auto& [sw, branch] : inv.switch_choice) {
         word(static_cast<uint64_t>(static_cast<uint32_t>(sw)));
@@ -195,12 +177,6 @@ MetricsCollector::redrivenNodes(const std::string& workflow) const
 }
 
 uint64_t
-MetricsCollector::masterRecoveries(const std::string& workflow) const
-{
-    return get(workflow).master_recoveries;
-}
-
-uint64_t
 MetricsCollector::duplicateExecutions(const std::string& workflow) const
 {
     return get(workflow).duplicate_executions;
@@ -221,44 +197,17 @@ MetricsCollector::workflows() const
     return out;
 }
 
-const MetricsCollector::PerTenant&
-MetricsCollector::getTenant(const std::string& tenant) const
-{
-    const auto it = per_tenant_.find(tenant);
-    return it == per_tenant_.end() ? empty_tenant_ : it->second;
-}
-
-std::vector<std::string>
-MetricsCollector::tenants() const
-{
-    std::vector<std::string> out;
-    for (const auto& [name, pt] : per_tenant_)
-        out.push_back(name);
-    return out;
-}
-
 size_t
 MetricsCollector::tenantCount(const std::string& tenant) const
 {
-    return getTenant(tenant).e2e_ms.count();
+    return tenantE2e(tenant).count();
 }
 
 const Percentiles&
 MetricsCollector::tenantE2e(const std::string& tenant) const
 {
-    return getTenant(tenant).e2e_ms;
-}
-
-uint64_t
-MetricsCollector::tenantSheds(const std::string& tenant) const
-{
-    return getTenant(tenant).sheds;
-}
-
-uint64_t
-MetricsCollector::tenantTimeouts(const std::string& tenant) const
-{
-    return getTenant(tenant).timeouts;
+    const auto it = per_tenant_.find(tenant);
+    return it == per_tenant_.end() ? empty_tenant_ : it->second;
 }
 
 void

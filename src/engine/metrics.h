@@ -23,7 +23,8 @@ SimTime actualCriticalExec(const workflow::Dag& dag,
 /**
  * Order-independent FNV-1a digest over an invocation's observable
  * outputs: per-node done/skip flags, the static output sizes consumers
- * read, actual payload bodies when present, and the switch choices.
+ * read, and the switch choices. Objects are modelled by size alone, so
+ * there are no payload bodies to fold.
  * Timing (exec durations, latencies) and at-least-once artifacts
  * (functions_executed, retries) are deliberately excluded, so a run
  * that absorbed faults digests equal to its fault-free golden twin iff
@@ -34,17 +35,14 @@ uint64_t invocationOutputDigest(const Invocation& inv);
 /**
  * Aggregates InvocationRecords per workflow for the evaluation harness:
  * e2e/overhead/data-latency distributions and byte counters. Records
- * that carry a tenant (the admission path) are additionally aggregated
- * per tenant, alongside the shed counters the admission gates report
- * through recordShed().
+ * that carry a tenant (the admission path) additionally feed that
+ * tenant's e2e distribution; its shed and timeout counts live in the
+ * admission stats (TenantAdmissionStats), not here.
  */
 class MetricsCollector
 {
   public:
     void add(const InvocationRecord& record);
-
-    /** Counts one admission-shed arrival against (workflow, tenant). */
-    void recordShed(const std::string& workflow, const std::string& tenant);
 
     size_t count(const std::string& workflow) const;
 
@@ -77,9 +75,6 @@ class MetricsCollector
     /** Nodes re-driven by recovery or master-failover replay. */
     uint64_t redrivenNodes(const std::string& workflow) const;
 
-    /** Master-failover log replays absorbed by this workflow. */
-    uint64_t masterRecoveries(const std::string& workflow) const;
-
     /** Same-drive-epoch double executions (invariant: 0). */
     uint64_t duplicateExecutions(const std::string& workflow) const;
 
@@ -89,18 +84,12 @@ class MetricsCollector
 
     std::vector<std::string> workflows() const;
 
-    /** Tenants seen on the admission path, sorted by name. */
-    std::vector<std::string> tenants() const;
-
     /** Admitted completions recorded for `tenant`. */
     size_t tenantCount(const std::string& tenant) const;
 
     /** Admitted-work end-to-end latency distribution for `tenant` (ms);
      *  includes deferred-admission wait (submit is the offered time). */
     const Percentiles& tenantE2e(const std::string& tenant) const;
-
-    uint64_t tenantSheds(const std::string& tenant) const;
-    uint64_t tenantTimeouts(const std::string& tenant) const;
 
     /** Forgets every aggregate (measured-window start). */
     void clear();
@@ -121,25 +110,17 @@ class MetricsCollector
         uint64_t recoveries = 0;
         uint64_t retries = 0;
         uint64_t redriven_nodes = 0;
-        uint64_t master_recoveries = 0;
         uint64_t duplicate_executions = 0;
         uint64_t rolled_back_nodes = 0;
     };
 
-    struct PerTenant
-    {
-        Percentiles e2e_ms;
-        uint64_t sheds = 0;
-        uint64_t timeouts = 0;
-    };
-
     std::map<std::string, PerWorkflow> per_workflow_;
-    std::map<std::string, PerTenant> per_tenant_;
+    /** Per-tenant e2e distribution (ms). */
+    std::map<std::string, Percentiles> per_tenant_;
     PerWorkflow empty_;
-    PerTenant empty_tenant_;
+    Percentiles empty_tenant_;
 
     const PerWorkflow& get(const std::string& workflow) const;
-    const PerTenant& getTenant(const std::string& tenant) const;
 };
 
 }  // namespace faasflow::engine

@@ -7,26 +7,14 @@ namespace faasflow::engine {
 ServiceQueue::ServiceQueue(sim::Simulator& sim, SimTime service_mean,
                            double service_sigma, Rng rng)
     : sim_(sim), service_mean_(service_mean), service_sigma_(service_sigma),
-      rng_(rng), busy_integral_start_(sim.now()), depth_last_(sim.now())
+      rng_(rng), window_start_(sim.now())
 {
-}
-
-void
-ServiceQueue::noteDepth()
-{
-    const SimTime now = sim_.now();
-    depth_integral_ += static_cast<double>(depth()) *
-                       (now - std::max(depth_last_, busy_integral_start_))
-                           .secondsF();
-    depth_last_ = now;
 }
 
 void
 ServiceQueue::submit(std::function<void()> handler)
 {
-    noteDepth();
     queue_.push_back(std::move(handler));
-    peak_depth_ = std::max(peak_depth_, depth());
     if (!busy_) {
         busy_ = true;
         busy_since_ = sim_.now();
@@ -38,9 +26,7 @@ void
 ServiceQueue::startNext()
 {
     if (queue_.empty()) {
-        busy_seconds_ +=
-            (sim_.now() - std::max(busy_since_, busy_integral_start_))
-                .secondsF();
+        busy_seconds_ += (sim_.now() - busy_since_).secondsF();
         busy_ = false;
         return;
     }
@@ -55,10 +41,6 @@ ServiceQueue::startNext()
     sim_.schedule(service, [this, handler = std::move(handler)] {
         handler();
         ++processed_;
-        // The serviced event leaves the depth() census at this instant,
-        // whether another one starts (queue slot -> service slot) or the
-        // engine idles.
-        noteDepth();
         startNext();
     });
 }
@@ -66,42 +48,13 @@ ServiceQueue::startNext()
 double
 ServiceQueue::utilisation() const
 {
-    const double window = (sim_.now() - busy_integral_start_).secondsF();
+    const double window = (sim_.now() - window_start_).secondsF();
     if (window <= 0.0)
         return 0.0;
     double busy = busy_seconds_;
-    if (busy_) {
-        busy += (sim_.now() - std::max(busy_since_, busy_integral_start_))
-                    .secondsF();
-    }
+    if (busy_)
+        busy += (sim_.now() - busy_since_).secondsF();
     return std::min(1.0, busy / window);
-}
-
-double
-ServiceQueue::meanDepth() const
-{
-    const double window = (sim_.now() - busy_integral_start_).secondsF();
-    if (window <= 0.0)
-        return static_cast<double>(depth());
-    const double integral =
-        depth_integral_ +
-        static_cast<double>(depth()) *
-            (sim_.now() - std::max(depth_last_, busy_integral_start_))
-                .secondsF();
-    return integral / window;
-}
-
-void
-ServiceQueue::resetStats()
-{
-    // Clamp-on-read against busy_integral_start_ makes a reset mid-burst
-    // safe: the open busy segment and the current depth only count from
-    // the new anchor (the closed-loop drain assumption is gone).
-    busy_integral_start_ = sim_.now();
-    busy_seconds_ = 0.0;
-    depth_integral_ = 0.0;
-    depth_last_ = sim_.now();
-    peak_depth_ = depth();
 }
 
 }  // namespace faasflow::engine

@@ -21,12 +21,10 @@ namespace faasflow::engine {
  * MasterSP scheduling overhead for wide workflows (§2.3) — and the
  * reason WorkerSP wins by distributing it across workers.
  *
- * Statistics hold under open-loop (non-draining) arrivals too: the
- * busy-time and queue-depth integrals fold in the in-progress segment
- * at read time, so utilisation() and meanDepth() are exact even while
- * the queue has never drained — the regime a saturation sweep measures.
- * resetStats() re-anchors the measurement window (e.g. after warm-up)
- * without disturbing queued work.
+ * Utilisation holds under open-loop (non-draining) arrivals too: the
+ * busy-time integral folds in the in-progress segment at read time, so
+ * utilisation() is exact even while the queue has never drained — the
+ * regime a saturation sweep measures. Its window starts at construction.
  */
 class ServiceQueue
 {
@@ -45,21 +43,9 @@ class ServiceQueue
     size_t depth() const { return queue_.size() + (busy_ ? 1 : 0); }
     uint64_t processed() const { return processed_; }
 
-    /** Time-weighted average of busy state over the stats window — the
+    /** Time-weighted average of busy state since construction — the
      *  engine CPU usage reported in §5.6/§5.7. Always in [0, 1]. */
     double utilisation() const;
-
-    /** Time-weighted mean queue depth over the stats window (includes
-     *  the in-service slot, like depth()). */
-    double meanDepth() const;
-
-    /** Peak instantaneous depth since the last resetStats(). */
-    size_t peakDepth() const { return peak_depth_; }
-
-    /** Re-anchors the measurement window at the current simulated time:
-     *  utilisation/meanDepth/peakDepth forget everything before now.
-     *  Queued work and the processed() counter are untouched. */
-    void resetStats();
 
   private:
     sim::Simulator& sim_;
@@ -69,17 +55,10 @@ class ServiceQueue
     std::deque<std::function<void()>> queue_;
     bool busy_ = false;
     uint64_t processed_ = 0;
-    SimTime busy_integral_start_;
+    SimTime window_start_;
     double busy_seconds_ = 0.0;
     SimTime busy_since_;
 
-    // Queue-depth accounting: depth x seconds folded at every depth
-    // change (submit and service completion).
-    double depth_integral_ = 0.0;
-    SimTime depth_last_;
-    size_t peak_depth_ = 0;
-
-    void noteDepth();
     void startNext();
 };
 

@@ -98,9 +98,6 @@ TaskExecutor::runNode(Invocation& inv, workflow::NodeId node_id,
         recordNodeSpanFlows(trace_, inv, node_id, rs->span, rs->started);
     }
 
-    if (rs->width > 1 && feedback)
-        feedback->recordMap(node.name, static_cast<double>(rs->width));
-
     // Inputs are fetched once per node into the worker (instances read
     // them locally); each instance then runs its own container/core
     // lifecycle, so a width beyond the per-function container cap simply
@@ -147,16 +144,10 @@ TaskExecutor::fetchInputs(std::shared_ptr<RunState> rs)
     for (const Fetch& f : instance_fetches) {
         const std::string key = dataKey(*rs->inv, f.origin);
         const bool local = store_.hasLocal(key);
-        auto on_got = [this, rs, f, local, edge_latency](
-                          SimTime elapsed, int64_t bytes,
-                          const Payload& body) {
+        auto on_got = [this, rs, f, local, edge_latency](SimTime elapsed,
+                                                         int64_t bytes) {
             if (abandoned(rs))
                 return;
-            if (body) {
-                // Cache the producer's body handle on the invocation so
-                // downstream consumers see the same blob (zero-copy).
-                rs->inv->node_payload[static_cast<size_t>(f.origin)] = body;
-            }
             if (trace_) {
                 trace_->span("fetch",
                              rs->inv->wf->dag.node(f.origin).name, track_,
@@ -196,8 +187,7 @@ TaskExecutor::fetchInputs(std::shared_ptr<RunState> rs)
             store_.remoteStore().get(key, node_.netId(), std::move(on_got),
                                      rs->span);
         } else {
-            store_.fetch(rs->inv->wf->name, key, std::move(on_got),
-                         rs->span);
+            store_.fetch(key, std::move(on_got), rs->span);
         }
     }
 }
@@ -352,9 +342,7 @@ TaskExecutor::saveOutput(std::shared_ptr<RunState> rs)
         rs->inv->placement->allConsumersLocal(dag, rs->node_id);
     const std::string key = dataKey(*rs->inv, rs->node_id);
     store_.save(
-        rs->inv->wf->name, key, output_bytes,
-        rs->inv->node_payload[static_cast<size_t>(rs->node_id)],
-        prefer_local,
+        rs->inv->wf->name, key, output_bytes, prefer_local,
         [this, rs, output_bytes](SimTime elapsed, bool local) {
             if (abandoned(rs))
                 return;  // the saved object died with the node

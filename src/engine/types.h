@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/payload.h"
 #include "common/sim_time.h"
 #include "engine/modes.h"
 #include "obs/trace.h"
@@ -165,15 +164,6 @@ struct Invocation
     /** Worker whose local FaaStore holds the node's output; -1 when the
      *  output went to the remote store (or the node has none). */
     std::vector<int> node_output_worker;
-
-    /**
-     * Optional host-side body per node output. The executor ships the
-     * handle through FaaStore on save, and consumer fetches observe the
-     * same blob — one allocation end to end, regardless of how many
-     * workers and stores the object crosses. Simulated sizes remain the
-     * billing unit; a null entry (the default) means size-only.
-     */
-    std::vector<Payload> node_payload;
 
     /**
      * Double-execution sentinels: whether the node ever started a real

@@ -69,12 +69,13 @@ struct SystemConfig
 
     /**
      * Latency-vs-durability point of the durable path (DESIGN.md §8.5).
-     * Sync keeps PR 3's commit-per-append gating; GroupCommit batches
-     * appends per storage round trip (dispatch still waits for the
-     * batch ack); Speculative additionally fires successors at append
-     * *issue* and rolls speculated nodes back when a crash loses the
-     * uncommitted suffix. Non-Sync modes force progress_log.group_commit
-     * on at System construction.
+     * Sync commits every append on its own and gates on its ack;
+     * GroupCommit batches appends per storage round trip (dispatch still
+     * waits for the batch ack); Speculative additionally fires
+     * successors at append *issue* and rolls speculated nodes back when
+     * a crash loses the uncommitted suffix. This mode is the only switch
+     * for log batching: non-Sync modes build a group-committing log,
+     * Sync a commit-per-append one.
      */
     engine::DurabilityMode durability_mode = engine::DurabilityMode::Sync;
 

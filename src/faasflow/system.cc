@@ -49,14 +49,13 @@ System::System(SystemConfig config)
     }
 
     if (config_.durable_log) {
-        // Batched durability modes need a group-committing log; Sync
-        // keeps whatever batching the log config asked for (off by
-        // default — PR 3's commit-per-append semantics).
-        storage::ProgressLog::Config log_config = config_.progress_log;
-        if (config_.durability_mode != engine::DurabilityMode::Sync)
-            log_config.group_commit = true;
+        // The durability mode alone decides batching: Sync commits each
+        // append on its own, which is what its engines assume when they
+        // treat every fact as durable at issue.
         progress_log_ = std::make_unique<storage::ProgressLog>(
-            *sim_, *network_, cluster_->storageNodeId(), log_config);
+            *sim_, *network_, cluster_->storageNodeId(),
+            config_.progress_log,
+            config_.durability_mode != engine::DurabilityMode::Sync);
     }
 
     std::vector<storage::FaaStore*> store_ptrs;
@@ -372,14 +371,9 @@ System::allocateStorePools(WorkflowState& state)
                 placement.workerOf(node.id) != static_cast<int>(w)) {
                 continue;
             }
-            const auto& spec = registry_.get(node.function);
-            const double map_factor =
-                node.foreach_width > 1
-                    ? std::max<double>(node.foreach_width,
-                                       state.feedback.map(node.name))
-                    : 1.0;
-            quota += storage::FaaStore::overProvision(spec, map_factor,
-                                                      headroom);
+            quota += storage::FaaStore::overProvision(
+                registry_.get(node.function),
+                static_cast<double>(node.foreach_width), headroom);
         }
         if (!stores_[w]->allocatePool(state.wf.name, quota)) {
             FAAS_WARN("worker %zu cannot back FaaStore pool of %s (%lld B)",
@@ -503,7 +497,6 @@ System::invokeInternal(
     ref.node_triggered.assign(dag.nodeCount(), 0);
     ref.node_drive_epoch.assign(dag.nodeCount(), 0);
     ref.node_output_worker.assign(dag.nodeCount(), -1);
-    ref.node_payload.assign(dag.nodeCount(), Payload{});
     ref.node_ran.assign(dag.nodeCount(), 0);
     ref.node_run_epoch.assign(dag.nodeCount(), 0);
     ref.node_speculative.assign(dag.nodeCount(), 0);
@@ -1272,7 +1265,6 @@ System::submit(const std::string& workflow, const std::string& tenant,
             ++state.stats.shed_depth;
         else
             ++state.stats.shed_rate;
-        metrics_.recordShed(workflow, tenant);
         return SubmitOutcome{SubmitOutcome::Status::Shed, 0};
     }
 

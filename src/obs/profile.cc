@@ -85,17 +85,6 @@ LogHistogram::record(int64_t value)
     ++bins_[static_cast<size_t>(binOf(value))];
 }
 
-void
-LogHistogram::merge(const LogHistogram& other)
-{
-    count_ += other.count_;
-    sum_ += other.sum_;
-    max_ = std::max(max_, other.max_);
-    for (int b = 0; b < kBins; ++b)
-        bins_[static_cast<size_t>(b)] +=
-            other.bins_[static_cast<size_t>(b)];
-}
-
 int64_t
 LogHistogram::quantile(double q) const
 {
@@ -369,69 +358,12 @@ ProfileStore::recordTenantCompletion(std::string_view tenant, SimTime e2e,
     p.e2e_us.record(e2e.micros());
 }
 
-void
-ProfileStore::merge(const ProfileStore& other)
-{
-    for (const auto& [key, p] : other.nodes_) {
-        NodeProfile& mine = nodes_[key];
-        mine.exec_us.merge(p.exec_us);
-        mine.queue_us.merge(p.queue_us);
-        mine.sched_us.merge(p.sched_us);
-        mine.coldstart_us.merge(p.coldstart_us);
-        mine.runs += p.runs;
-        mine.cold_starts += p.cold_starts;
-    }
-    for (const auto& [key, p] : other.edges_) {
-        EdgeProfile& mine = edges_[key];
-        if (!mine.window_ready) {
-            mine.from = p.from;
-            mine.to = p.to;
-            mine.spec_bytes = p.spec_bytes;
-            mine.window = RollingWindow(config_.window,
-                                        config_.window_buckets);
-            mine.window_ready = true;
-        }
-        mine.bytes.merge(p.bytes);
-        mine.latency_us.merge(p.latency_us);
-        mine.local_hits += p.local_hits;
-        mine.remote_hits += p.remote_hits;
-        // Rolling windows are presentation state, not part of the
-        // mergeable algebra; keep the worse of the two worst buckets so
-        // anomaly verdicts survive a merge.
-        const RollingWindow::Bucket& theirs = p.window.worstBucket();
-        const RollingWindow::Bucket& ours = mine.window.worstBucket();
-        const auto bucket_mean = [](const RollingWindow::Bucket& b) {
-            return b.count == 0 ? -1.0
-                                : static_cast<double>(b.value_sum) /
-                                      static_cast<double>(b.count);
-        };
-        if (bucket_mean(theirs) > bucket_mean(ours))
-            mine.window = p.window;
-    }
-    for (const auto& [key, p] : other.tenants_) {
-        TenantProfile& mine = tenants_[key];
-        mine.arrivals += p.arrivals;
-        mine.completions += p.completions;
-        mine.misses += p.misses;
-        mine.e2e_us.merge(p.e2e_us);
-    }
-    for (size_t i = 0; i < store_ops_.size(); ++i) {
-        store_ops_[i].latency_us.merge(other.store_ops_[i].latency_us);
-        store_ops_[i].bytes.merge(other.store_ops_[i].bytes);
-    }
-    transfer_bytes_.merge(other.transfer_bytes_);
-    transfer_latency_.merge(other.transfer_latency_);
-    node_samples_ += other.node_samples_;
-    edge_samples_ += other.edge_samples_;
-    transfer_count_ += other.transfer_count_;
-}
-
 uint64_t
 ProfileStore::digest() const
 {
     // Domain order: the sorted maps provide it; within a key, the
     // histogram folds are fixed-order. Rolling-window state is excluded
-    // — it is presentation state, not part of the mergeable algebra.
+    // — it is presentation state, not a recorded aggregate.
     uint64_t h = kFnv1aBasis;
     for (const auto& [key, p] : nodes_) {
         h = fnvStr(h, key.first);

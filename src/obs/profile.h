@@ -23,11 +23,6 @@ namespace faasflow::obs {
  * Relative bin width is 2^(1/4)-ish (4 sub-buckets per octave, ~19%
  * worst-case quantile error), which is plenty for profiles whose
  * consumers care about factors, not microseconds.
- *
- * The merge is a bin-wise (and sum/max/count-wise) addition: associative
- * and commutative, so folding per-domain histograms in *any* order
- * yields bit-identical state — the property that keeps profile digests
- * equal across campaign thread counts.
  */
 class LogHistogram
 {
@@ -46,9 +41,6 @@ class LogHistogram
     static int64_t binUpper(int bin);
 
     void record(int64_t value);
-
-    /** Bin-wise addition; associative and commutative. */
-    void merge(const LogHistogram& other);
 
     uint64_t count() const { return count_; }
     int64_t sum() const { return sum_; }
@@ -173,8 +165,8 @@ struct EdgeAnomaly
  *
  * Determinism: every per-key aggregate is a commutative fold (histogram
  * bin adds, sums, maxes), keys live in ordered maps, and digest() walks
- * them in that domain order — so merging per-run stores in any order
- * produces one bit-identical digest.
+ * them in that domain order — so the digest depends on which samples
+ * were recorded, not on the order they arrived in.
  */
 class ProfileStore
 {
@@ -230,16 +222,12 @@ class ProfileStore
 
     // ---- aggregation -------------------------------------------------
 
-    /** Commutative fold of every per-key aggregate; associative. */
-    void merge(const ProfileStore& other);
-
     /** FNV-1a over all aggregates, keys walked in domain (sorted map)
-     *  order. Equal across any merge order. */
+     *  order. Equal across any recording order. */
     uint64_t digest() const;
 
     uint64_t nodeSampleCount() const { return node_samples_; }
     uint64_t edgeSampleCount() const { return edge_samples_; }
-    uint64_t transferCount() const { return transfer_count_; }
 
     /** Edges whose observed bytes or worst-window latency deviate past
      *  the configured factors (see ProfileConfig). Deterministic. */
@@ -295,12 +283,6 @@ class ProfileStore
     const std::map<std::string, TenantProfile>& tenants() const
     {
         return tenants_;
-    }
-    const LogHistogram& transferBytes() const { return transfer_bytes_; }
-    const LogHistogram& transferLatency() const { return transfer_latency_; }
-    const LogHistogram& storeOpLatency(StoreOp op) const
-    {
-        return store_ops_[static_cast<size_t>(op)].latency_us;
     }
 
   private:

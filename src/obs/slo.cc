@@ -19,12 +19,6 @@ SloMonitor::setSpec(std::string_view tenant, const SloSpec& spec)
     state.long_window = RollingWindow(spec.long_window, kWindowBuckets);
 }
 
-bool
-SloMonitor::hasSpec(std::string_view tenant) const
-{
-    return tenants_.find(std::string(tenant)) != tenants_.end();
-}
-
 const SloSpec*
 SloMonitor::spec(std::string_view tenant) const
 {

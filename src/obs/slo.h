@@ -80,7 +80,6 @@ class SloMonitor
      *  are not monitored. */
     void setSpec(std::string_view tenant, const SloSpec& spec);
 
-    bool hasSpec(std::string_view tenant) const;
     const SloSpec* spec(std::string_view tenant) const;
 
     /**

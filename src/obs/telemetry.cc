@@ -46,12 +46,20 @@ TelemetrySampler::tick(sim::Simulator& sim)
 {
     if (!active_)
         return;
-    Sample sample;
-    sample.t_us = sim.now().micros();
-    sample.values.reserve(gauges_.size());
-    for (const Gauge& gauge : gauges_)
-        sample.values.push_back(gauge.fn());
-    samples_.push_back(std::move(sample));
+    const int64_t t_us = sim.now().micros();
+    // A gauge registered after earlier ticks has no previous value, so
+    // its first reading is a change like every gauge's on the first tick.
+    const size_t known = latest_.size();
+    latest_.resize(gauges_.size());
+    for (size_t i = 0; i < gauges_.size(); ++i) {
+        const double value = gauges_[i].fn();
+        if (i < known && latest_[i] == value)
+            continue;
+        latest_[i] = value;
+        changes_.push_back(Change{t_us, i, value});
+    }
+    last_t_us_ = t_us;
+    ++ticks_;
     // Only re-arm while the simulation has other work queued; a sampler
     // must never keep a drained simulation spinning until the horizon.
     // The tick is a background event, so another periodic tick pending
@@ -66,29 +74,28 @@ std::string
 TelemetrySampler::toPrometheusText() const
 {
     std::string out;
-    if (samples_.empty()) {
+    if (ticks_ == 0) {
         for (const auto& provider : expositions_)
             out += provider();
         return out;
     }
-    const Sample& last = samples_.back();
     // Group gauges into metric families so each # TYPE line appears
     // once, as the exposition format requires.
     std::map<std::string, std::vector<size_t>> families;
     for (size_t i = 0; i < gauges_.size(); ++i)
         families[gauges_[i].name].push_back(i);
-    const int64_t ts_ms = last.t_us / 1000;
+    const int64_t ts_ms = last_t_us_ / 1000;
     for (const auto& [name, members] : families) {
         out += strFormat("# TYPE %s gauge\n", name.c_str());
         for (const size_t i : members) {
             if (gauges_[i].labels.empty()) {
                 out += strFormat("%s %s %lld\n", name.c_str(),
-                                 formatValue(last.values[i]).c_str(),
+                                 formatValue(latest_[i]).c_str(),
                                  static_cast<long long>(ts_ms));
             } else {
                 out += strFormat("%s{%s} %s %lld\n", name.c_str(),
                                  gauges_[i].labels.c_str(),
-                                 formatValue(last.values[i]).c_str(),
+                                 formatValue(latest_[i]).c_str(),
                                  static_cast<long long>(ts_ms));
             }
         }
@@ -102,21 +109,12 @@ std::string
 TelemetrySampler::toCsv() const
 {
     std::string out = "t_us,metric,labels,value\n";
-    // Change-compressed: after the first sample a gauge only re-appears
-    // when its value moves, so long idle tails (e.g. the 600 s container
-    // keep-alive drain) cost nothing. Readers forward-fill per series.
-    std::vector<double> prev;
-    for (const Sample& sample : samples_) {
-        for (size_t i = 0; i < gauges_.size(); ++i) {
-            if (i < prev.size() && prev[i] == sample.values[i])
-                continue;
-            out += strFormat("%lld,%s,%s,%s\n",
-                             static_cast<long long>(sample.t_us),
-                             gauges_[i].name.c_str(),
-                             gauges_[i].labels.c_str(),
-                             formatValue(sample.values[i]).c_str());
-        }
-        prev = sample.values;
+    for (const Change& change : changes_) {
+        const Gauge& gauge = gauges_[change.gauge];
+        out += strFormat("%lld,%s,%s,%s\n",
+                         static_cast<long long>(change.t_us),
+                         gauge.name.c_str(), gauge.labels.c_str(),
+                         formatValue(change.value).c_str());
     }
     return out;
 }
@@ -126,7 +124,10 @@ TelemetrySampler::clear()
 {
     active_ = false;
     gauges_.clear();
-    samples_.clear();
+    changes_.clear();
+    latest_.clear();
+    last_t_us_ = 0;
+    ticks_ = 0;
     expositions_.clear();
 }
 

@@ -28,10 +28,16 @@ namespace faasflow::obs {
  * change simulation results — identical seeds produce identical sample
  * series (tested).
  *
+ * The series is kept change-compressed in memory: each tick appends a
+ * change only for the gauges whose value moved since the previous tick
+ * (every gauge on the first), and the latest value of each gauge is kept
+ * beside that list. Long idle stretches, such as the container
+ * keep-alive tail, therefore cost a tick count and nothing else.
+ *
  * Export formats: Prometheus text exposition (one gauge family per
  * metric name, labels preserved, last-sample values with millisecond
  * timestamps) and long-format CSV (t_us,metric,labels,value — one row
- * per gauge per tick).
+ * per recorded change).
  */
 class TelemetrySampler
 {
@@ -56,20 +62,10 @@ class TelemetrySampler
     void stop() { active_ = false; }
     bool active() const { return active_; }
 
-    /** One tick: all gauge values in registration order. */
-    struct Sample
-    {
-        int64_t t_us;
-        std::vector<double> values;
-    };
-
     size_t gaugeCount() const { return gauges_.size(); }
-    const std::vector<Sample>& samples() const { return samples_; }
-    const std::string& gaugeName(size_t i) const { return gauges_[i].name; }
-    const std::string& gaugeLabels(size_t i) const
-    {
-        return gauges_[i].labels;
-    }
+
+    /** Ticks sampled so far (each reads every gauge). */
+    size_t ticks() const { return ticks_; }
 
     /**
      * Registers an extra exposition provider: a closure returning
@@ -83,9 +79,10 @@ class TelemetrySampler
     /** Prometheus text exposition of the most recent sample. */
     std::string toPrometheusText() const;
 
-    /** Full series as change-compressed long-format CSV: a gauge row is
-     *  emitted when its value differs from the previous sample (always
-     *  in the first sample); readers forward-fill per series. */
+    /** Full series as change-compressed long-format CSV: one row per
+     *  recorded change, i.e. a gauge row when its value differs from the
+     *  previous tick (always on the first); readers forward-fill per
+     *  series. */
     std::string toCsv() const;
 
     void clear();
@@ -98,10 +95,22 @@ class TelemetrySampler
         GaugeFn fn;
     };
 
+    /** One gauge's value at one tick where it moved. */
+    struct Change
+    {
+        int64_t t_us;
+        size_t gauge;
+        double value;
+    };
+
     SimTime interval_ = SimTime::millis(10);
     bool active_ = false;
     std::vector<Gauge> gauges_;
-    std::vector<Sample> samples_;
+    std::vector<Change> changes_;
+    /** Each gauge's value at the most recent tick. */
+    std::vector<double> latest_;
+    int64_t last_t_us_ = 0;
+    size_t ticks_ = 0;
     std::vector<std::function<std::string()>> expositions_;
 
     void tick(sim::Simulator& sim);

@@ -76,13 +76,6 @@ TraceRecorder::closeSpan(SpanId id, SimTime end, std::string_view detail)
     --open_count_;
 }
 
-bool
-TraceRecorder::spanOpen(SpanId id) const
-{
-    return id != 0 && id <= events_.size() &&
-           events_[id - 1].dur_us == kOpen;
-}
-
 void
 TraceRecorder::closeOpenSpans(int track, SimTime at, std::string_view detail)
 {

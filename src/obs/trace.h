@@ -89,9 +89,6 @@ class TraceRecorder
     /** Closes an open span; replaces its detail when one is given. */
     void closeSpan(SpanId id, SimTime end, std::string_view detail = {});
 
-    /** True when `id` names a span opened but not yet closed. */
-    bool spanOpen(SpanId id) const;
-
     /**
      * Closes every still-open span on `track` at `at` with `detail` —
      * the worker-crash path: runs in flight on the dead node stop
@@ -116,7 +113,6 @@ class TraceRecorder
 
     size_t eventCount() const { return events_.size(); }
     size_t flowCount() const { return flows_.size(); }
-    size_t internedStrings() const { return strings_.size(); }
     void clear();
 
     /** Chrome trace-event JSON ({"traceEvents": [...]}) with pid/tid

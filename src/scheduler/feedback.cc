@@ -9,12 +9,6 @@ RuntimeFeedback::recordScale(const std::string& node_name, double instances)
 }
 
 void
-RuntimeFeedback::recordMap(const std::string& node_name, double executors)
-{
-    map_[node_name].add(executors);
-}
-
-void
 RuntimeFeedback::recordEdgeLatency(size_t edge_idx, SimTime latency)
 {
     edge_latency_[edge_idx].add(static_cast<double>(latency.micros()));
@@ -25,15 +19,6 @@ RuntimeFeedback::scale(const std::string& node_name) const
 {
     const auto it = scale_.find(node_name);
     if (it == scale_.end() || it->second.count() == 0)
-        return 1.0;
-    return std::max(1.0, it->second.mean());
-}
-
-double
-RuntimeFeedback::map(const std::string& node_name) const
-{
-    const auto it = map_.find(node_name);
-    if (it == map_.end() || it->second.count() == 0)
         return 1.0;
     return std::max(1.0, it->second.mean());
 }
@@ -53,7 +38,6 @@ void
 RuntimeFeedback::clear()
 {
     scale_.clear();
-    map_.clear();
     edge_latency_.clear();
 }
 

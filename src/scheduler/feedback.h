@@ -12,10 +12,10 @@ namespace faasflow::scheduler {
 
 /**
  * Runtime metrics FaaStore collects during a partition iteration
- * (§4.1.2): the average container scale of each function node, the
- * average executor map of foreach nodes, and per-edge transmission
- * latency samples whose 99%-ile becomes the next iteration's edge
- * weight.
+ * (§4.1.2): the average container scale of each function node and
+ * per-edge transmission latency samples whose 99%-ile becomes the next
+ * iteration's edge weight. A foreach node's executor map, Map(v), is
+ * its static foreach width, so it is read from the DAG, not collected.
  */
 class RuntimeFeedback
 {
@@ -23,17 +23,11 @@ class RuntimeFeedback
     /** Records an observation of a node's concurrent container count. */
     void recordScale(const std::string& node_name, double instances);
 
-    /** Records an observation of a foreach node's executor map. */
-    void recordMap(const std::string& node_name, double executors);
-
     /** Records one transmission latency sample for edge `edge_idx`. */
     void recordEdgeLatency(size_t edge_idx, SimTime latency);
 
     /** Scale(v): average scaled instances, default 1 with no samples. */
     double scale(const std::string& node_name) const;
-
-    /** Map(v): average executor map, default 1 with no samples. */
-    double map(const std::string& node_name) const;
 
     /** Whether any edge latency samples exist. */
     bool hasEdgeSamples() const { return !edge_latency_.empty(); }
@@ -48,7 +42,6 @@ class RuntimeFeedback
 
   private:
     std::map<std::string, Summary> scale_;
-    std::map<std::string, Summary> map_;
     std::map<size_t, Percentiles> edge_latency_;
 };
 

@@ -25,20 +25,14 @@ GraphScheduler::initialPlacement(const workflow::Dag& dag,
 }
 
 int64_t
-GraphScheduler::computeQuota(const workflow::Dag& dag,
-                             const RuntimeFeedback& feedback) const
+GraphScheduler::computeQuota(const workflow::Dag& dag) const
 {
     std::vector<std::pair<const cluster::FunctionSpec*, double>> members;
     for (const auto& node : dag.nodes()) {
         if (!node.isTask())
             continue;
-        const auto& spec = registry_.get(node.function);
-        const double map_factor =
-            node.foreach_width > 1
-                ? std::max<double>(node.foreach_width,
-                                   feedback.map(node.name))
-                : 1.0;
-        members.emplace_back(&spec, map_factor);
+        members.emplace_back(&registry_.get(node.function),
+                             static_cast<double>(node.foreach_width));
     }
     return storage::FaaStore::groupQuota(members, config_.headroom);
 }
@@ -51,7 +45,7 @@ GraphScheduler::iterate(workflow::Dag& dag, const RuntimeFeedback& feedback,
 
     PartitionContext context;
     context.capacity = std::move(capacities);
-    context.quota = computeQuota(dag, feedback);
+    context.quota = computeQuota(dag);
     context.contention = config_.contention;
     context.local_copy_bandwidth = config_.local_copy_bandwidth;
 

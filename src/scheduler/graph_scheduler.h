@@ -19,7 +19,8 @@ namespace faasflow::scheduler {
  * The master-node Graph Scheduler (§4.1): resolves parsed workflows into
  * placements. The first partition iteration is hash based; subsequent
  * iterations run Algorithm 1 with the runtime feedback FaaStore
- * collected (edge 99%-ile latencies, Scale(v), Map(v)).
+ * collected (edge 99%-ile latencies, Scale(v)) and each node's static
+ * Map(v).
  *
  * The scheduler is deliberately stateless across workflows — per-workflow
  * deployment state (versions, in-flight counts) lives in the engines so
@@ -72,10 +73,9 @@ class GraphScheduler
 
     /**
      * Quota(G) by Eq. (2): reclaimable memory summed over the workflow's
-     * task nodes, weighted by each node's Map(v).
+     * task nodes, weighted by each node's Map(v) (its foreach width).
      */
-    int64_t computeQuota(const workflow::Dag& dag,
-                         const RuntimeFeedback& feedback) const;
+    int64_t computeQuota(const workflow::Dag& dag) const;
 
     const Config& config() const { return config_; }
 

@@ -133,15 +133,12 @@ GreedyGrouper::nodeScale(workflow::NodeId id) const
     const auto& node = dag_.node(id);
     if (node.isVirtual())
         return 0.0;
-    // A foreach body deploys Map(v) executors; the Scale(v) feedback
-    // observes concurrent containers, which already includes those
-    // executors — take the larger of observation and static width
-    // rather than multiplying them.
-    const double map_factor =
-        node.foreach_width > 1
-            ? std::max<double>(node.foreach_width, feedback_.map(node.name))
-            : 1.0;
-    return std::max(feedback_.scale(node.name), map_factor);
+    // A foreach body deploys Map(v) = foreach-width executors; the
+    // Scale(v) feedback observes concurrent containers, which already
+    // includes those executors — take the larger of observation and
+    // width rather than multiplying them.
+    return std::max(feedback_.scale(node.name),
+                    static_cast<double>(node.foreach_width));
 }
 
 double

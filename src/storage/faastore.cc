@@ -101,15 +101,6 @@ FaaStore::save(const std::string& workflow, const std::string& key,
                int64_t bytes, bool prefer_local,
                std::function<void(SimTime, bool)> on_done, obs::SpanId cause)
 {
-    save(workflow, key, bytes, Payload{}, prefer_local, std::move(on_done),
-         cause);
-}
-
-void
-FaaStore::save(const std::string& workflow, const std::string& key,
-               int64_t bytes, Payload body, bool prefer_local,
-               std::function<void(SimTime, bool)> on_done, obs::SpanId cause)
-{
     if (prefer_local) {
         const auto it = pools_.find(workflow);
         const bool quota_ok =
@@ -118,19 +109,16 @@ FaaStore::save(const std::string& workflow, const std::string& key,
             it->second.used += bytes;
             key_workflow_[key] = workflow;
             ++local_saves_;
-            mem_->put(key, bytes, std::move(body), node_.netId(),
-                      [cb = std::move(on_done)](SimTime elapsed) {
-                          if (cb)
-                              cb(elapsed, true);
-                      });
+            mem_->put(key, bytes, [cb = std::move(on_done)](SimTime elapsed) {
+                if (cb)
+                    cb(elapsed, true);
+            });
             return;
         }
         ++quota_rejections_;
     }
     ++remote_saves_;
-    // Local placement refused: the same body handle falls through to the
-    // remote store — the blob itself is never duplicated.
-    remote_.put(key, bytes, std::move(body), node_.netId(),
+    remote_.put(key, bytes, node_.netId(),
                 [cb = std::move(on_done)](SimTime elapsed) {
                     if (cb)
                         cb(elapsed, false);
@@ -144,21 +132,12 @@ FaaStore::hasLocal(const std::string& key) const
     return mem_->contains(key);
 }
 
-Payload
-FaaStore::payloadOf(const std::string& key) const
-{
-    if (Payload local = mem_->payloadOf(key))
-        return local;
-    return remote_.payloadOf(key);
-}
-
 void
-FaaStore::fetch(const std::string& workflow, const std::string& key,
-                GetCallback on_done, obs::SpanId cause)
+FaaStore::fetch(const std::string& key, GetCallback on_done,
+                obs::SpanId cause)
 {
-    (void)workflow;
     if (mem_->contains(key)) {
-        mem_->get(key, node_.netId(), std::move(on_done));
+        mem_->get(key, std::move(on_done));
     } else {
         remote_.get(key, node_.netId(), std::move(on_done), cause);
     }

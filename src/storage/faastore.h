@@ -68,7 +68,7 @@ class FaaStore
     /**
      * Eq. (2): the in-memory quota of a function group — the sum of
      * O(v) over its members. `members` pairs each function spec with its
-     * runtime Map(v) feedback.
+     * node's Map(v), the foreach width.
      */
     static int64_t
     groupQuota(const std::vector<std::pair<const cluster::FunctionSpec*,
@@ -104,25 +104,13 @@ class FaaStore
               std::function<void(SimTime, bool local)> on_done,
               obs::SpanId cause = 0);
 
-    /** As above, with a host-side body riding along by handle: whether
-     *  the object lands locally or falls back to the remote store, the
-     *  bytes are never copied — ownership of the one blob is shared. */
-    void save(const std::string& workflow, const std::string& key,
-              int64_t bytes, Payload body, bool prefer_local,
-              std::function<void(SimTime, bool local)> on_done,
-              obs::SpanId cause = 0);
-
     /** True when `key` lives in this node's MemStore. */
     bool hasLocal(const std::string& key) const;
 
-    /** Body of an object reachable from this node (local store first,
-     *  then remote); null when absent or size-only. Zero-copy peek. */
-    Payload payloadOf(const std::string& key) const;
-
     /** Reads an object from wherever it lives (local first). Remote
      *  reads record a storage span flowing back into `cause`. */
-    void fetch(const std::string& workflow, const std::string& key,
-               GetCallback on_done, obs::SpanId cause = 0);
+    void fetch(const std::string& key, GetCallback on_done,
+               obs::SpanId cause = 0);
 
     /** Drops an object (end-of-invocation cleanup, §4.2.1). */
     void drop(const std::string& workflow, const std::string& key);

@@ -3,23 +3,22 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
-#include "common/payload.h"
 #include "common/sim_time.h"
 
 namespace faasflow::storage {
 
+// Types shared by the remote CouchDB stand-in (RemoteStore) and the
+// node-local Redis stand-in (MemStore). Both model an object by its
+// simulated size alone: `bytes` is the billing unit for capacity and
+// transfer time.
+
 /** Completion callback for a put: elapsed transfer+operation time. */
 using PutCallback = std::function<void(SimTime elapsed)>;
 
-/**
- * Completion callback for a get: elapsed time, the object's simulated
- * size, and its host-side body (null for size-only objects). The body is
- * handed out by shared handle — a fetch never copies the bytes.
- */
-using GetCallback =
-    std::function<void(SimTime elapsed, int64_t bytes, const Payload& body)>;
+/** Completion callback for a get: elapsed time and the object's
+ *  simulated size. */
+using GetCallback = std::function<void(SimTime elapsed, int64_t bytes)>;
 
 /** Aggregate traffic counters for a store. */
 struct StoreStats
@@ -28,55 +27,6 @@ struct StoreStats
     uint64_t gets = 0;
     int64_t bytes_written = 0;
     int64_t bytes_read = 0;
-};
-
-/**
- * Asynchronous key-value storage interface shared by the remote CouchDB
- * stand-in and the node-local Redis stand-in. Objects are modelled by
- * simulated size (`bytes` is always the billing unit for capacity and
- * transfer time); an object may additionally carry a real host-side
- * body, passed through the stores by refcounted handle without copying.
- */
-class KvStore
-{
-  public:
-    virtual ~KvStore() = default;
-
-    /**
-     * Stores `bytes` under `key`, overwriting any previous object.
-     * `body` is an optional host-side blob travelling with the object;
-     * the store keeps the handle, not a copy.
-     * @param from_node network id of the writer (for transfer modelling)
-     */
-    virtual void put(const std::string& key, int64_t bytes, Payload body,
-                     int from_node, PutCallback on_done) = 0;
-
-    /** Size-only put (the common case for pure simulations). */
-    void
-    put(const std::string& key, int64_t bytes, int from_node,
-        PutCallback on_done)
-    {
-        put(key, bytes, Payload{}, from_node, std::move(on_done));
-    }
-
-    /**
-     * Retrieves the object under `key`. Reading a missing key is a
-     * protocol bug in the engine and panics.
-     * @param to_node network id of the reader
-     */
-    virtual void get(const std::string& key, int to_node,
-                     GetCallback on_done) = 0;
-
-    virtual bool contains(const std::string& key) const = 0;
-
-    /** Synchronous peek at a stored object's body; null when the key is
-     *  absent or the object is size-only. Shares ownership — no copy. */
-    virtual Payload payloadOf(const std::string& key) const = 0;
-
-    /** Drops a key; no-op when absent. */
-    virtual void erase(const std::string& key) = 0;
-
-    virtual const StoreStats& stats() const = 0;
 };
 
 }  // namespace faasflow::storage

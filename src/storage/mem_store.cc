@@ -32,21 +32,19 @@ MemStore::clear()
 }
 
 void
-MemStore::put(const std::string& key, int64_t bytes, Payload body,
-              int from_node, PutCallback on_done)
+MemStore::put(const std::string& key, int64_t bytes, PutCallback on_done)
 {
-    (void)from_node;  // local by definition
     // Callers must have reserved space; the overwrite case reuses the
     // existing allocation.
     const auto it = objects_.find(key);
     if (it != objects_.end()) {
-        used_ -= it->second.bytes;
-        it->second = Object{bytes, std::move(body)};
+        used_ -= it->second;
+        it->second = bytes;
     } else {
         if (reserved_ < bytes)
             panic("mem store: put('%s') without a reservation", key.c_str());
         reserved_ -= bytes;
-        objects_.emplace(key, Object{bytes, std::move(body)});
+        objects_.emplace(key, bytes);
     }
     used_ += bytes;
     stats_.puts++;
@@ -63,13 +61,12 @@ MemStore::put(const std::string& key, int64_t bytes, Payload body,
 }
 
 void
-MemStore::get(const std::string& key, int to_node, GetCallback on_done)
+MemStore::get(const std::string& key, GetCallback on_done)
 {
-    (void)to_node;
     const auto it = objects_.find(key);
     if (it == objects_.end())
         panic("mem store: get of missing key '%s'", key.c_str());
-    const int64_t bytes = it->second.bytes;
+    const int64_t bytes = it->second;
     stats_.gets++;
     stats_.bytes_read += bytes;
 
@@ -77,18 +74,10 @@ MemStore::get(const std::string& key, int to_node, GetCallback on_done)
     const SimTime copy = SimTime::seconds(static_cast<double>(bytes) /
                                           config_.copy_bandwidth);
     sim_.schedule(config_.op_latency + copy,
-                  [this, start, bytes, body = it->second.body,
-                   cb = std::move(on_done)] {
+                  [this, start, bytes, cb = std::move(on_done)] {
                       if (cb)
-                          cb(sim_.now() - start, bytes, body);
+                          cb(sim_.now() - start, bytes);
                   });
-}
-
-Payload
-MemStore::payloadOf(const std::string& key) const
-{
-    const auto it = objects_.find(key);
-    return it == objects_.end() ? Payload{} : it->second.body;
 }
 
 bool
@@ -103,7 +92,7 @@ MemStore::erase(const std::string& key)
     const auto it = objects_.find(key);
     if (it == objects_.end())
         return;
-    used_ -= it->second.bytes;
+    used_ -= it->second;
     objects_.erase(it);
 }
 

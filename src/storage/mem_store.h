@@ -17,7 +17,7 @@ namespace faasflow::storage {
  * FaaStore sizes it with the reclaimed-memory quota (Eq. 2) and callers
  * must check tryReserve() before writing.
  */
-class MemStore : public KvStore
+class MemStore
 {
   public:
     struct Config
@@ -46,31 +46,30 @@ class MemStore : public KvStore
      *  DRAM contents are simply gone). Capacity is left untouched. */
     void clear();
 
-    using KvStore::put;
-    void put(const std::string& key, int64_t bytes, Payload body,
-             int from_node, PutCallback on_done) override;
-    void get(const std::string& key, int to_node,
-             GetCallback on_done) override;
-    bool contains(const std::string& key) const override;
-    Payload payloadOf(const std::string& key) const override;
-    void erase(const std::string& key) override;
-    const StoreStats& stats() const override { return stats_; }
+    /** Stores `bytes` under `key`, overwriting any previous object. A
+     *  new key must have been reserved with tryReserve(). */
+    void put(const std::string& key, int64_t bytes, PutCallback on_done);
+
+    /** Reads the object under `key`; a missing key panics. */
+    void get(const std::string& key, GetCallback on_done);
+
+    bool contains(const std::string& key) const;
+
+    /** Drops a key; no-op when absent. */
+    void erase(const std::string& key);
+
+    const StoreStats& stats() const { return stats_; }
 
     size_t objectCount() const { return objects_.size(); }
 
   private:
-    struct Object
-    {
-        int64_t bytes = 0;  ///< simulated size (capacity + billing unit)
-        Payload body;       ///< optional host-side blob, shared not copied
-    };
-
     sim::Simulator& sim_;
     int64_t capacity_;
     Config config_;
     int64_t used_ = 0;
     int64_t reserved_ = 0;  ///< reserved but not yet written
-    std::unordered_map<std::string, Object, StringHash, std::equal_to<>>
+    /** Key -> simulated size (capacity and billing unit). */
+    std::unordered_map<std::string, int64_t, StringHash, std::equal_to<>>
         objects_;
     StoreStats stats_;
 };

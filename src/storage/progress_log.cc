@@ -8,13 +8,14 @@
 namespace faasflow::storage {
 
 ProgressLog::ProgressLog(sim::Simulator& sim, net::Network& network,
-                         net::NodeId storage_node, Config config)
+                         net::NodeId storage_node, Config config,
+                         bool group_commit)
     : sim_(sim), network_(network), storage_node_(storage_node),
-      config_(config)
+      config_(config), group_commit_(group_commit)
 {
     if (config_.compaction_threshold == 0)
         fatal("progress log: compaction threshold must be positive");
-    if (config_.group_commit && config_.batch_max_records == 0)
+    if (group_commit_ && config_.batch_max_records == 0)
         fatal("progress log: batch_max_records must be positive");
 }
 
@@ -22,7 +23,7 @@ void
 ProgressLog::append(net::NodeId from, LogRecord record,
                     AppendCallback on_durable)
 {
-    if (config_.group_commit) {
+    if (group_commit_) {
         bufferAppend(from, std::move(record), std::move(on_durable));
         return;
     }

@@ -102,19 +102,11 @@ class ProgressLog
          *  checkpoint. */
         size_t compaction_threshold = 32;
 
-        /**
-         * Group commit: appends buffer per origin node and commit as
-         * one batch per storage round trip. The whole batch pays
-         * `append_latency` (times the brown-out degrade factor) ONCE —
-         * that amortisation is the point — and `on_durable` fans out to
-         * every buffered record when the batch ack lands. Off, every
-         * append commits individually (PR 3 semantics).
-         */
-        bool group_commit = false;
-        /** Linger: a buffered record waits at most this long before its
-         *  batch flushes, even if the batch is not full. */
+        /** Group commit: a buffered record waits at most this long
+         *  before its batch flushes, even if the batch is not full. */
         SimTime batch_window = SimTime::micros(300);
-        /** A batch flushes immediately at this many records. */
+        /** Group commit: a batch flushes immediately at this many
+         *  records. */
         size_t batch_max_records = 16;
     };
 
@@ -141,8 +133,18 @@ class ProgressLog
         uint64_t dropped_records = 0;
     };
 
+    /**
+     * @param group_commit batch appends: they buffer per origin node and
+     *        commit as one batch per storage round trip. The whole batch
+     *        pays `append_latency` (times the brown-out degrade factor)
+     *        ONCE — that amortisation is the point — and `on_durable`
+     *        fans out to every buffered record when the batch ack lands.
+     *        Off, every append commits individually. System derives it
+     *        from SystemConfig::durability_mode, the only place the
+     *        choice is made.
+     */
     ProgressLog(sim::Simulator& sim, net::Network& network,
-                net::NodeId storage_node, Config config);
+                net::NodeId storage_node, Config config, bool group_commit);
 
     using AppendCallback = std::function<void(SimTime elapsed)>;
 
@@ -184,9 +186,6 @@ class ProgressLog
     double degradeFactor() const { return degrade_; }
 
     const Stats& stats() const { return stats_; }
-
-    /** Invocations with any log state (stubs included). */
-    size_t liveSlots() const { return slots_.size(); }
 
     /** Uncompacted tail records held for one invocation (tests). */
     size_t tailLength(uint64_t invocation) const;
@@ -248,6 +247,7 @@ class ProgressLog
     net::Network& network_;
     net::NodeId storage_node_;
     Config config_;
+    bool group_commit_;
     double degrade_ = 1.0;
     Stats stats_;
     std::map<uint64_t, Slot> slots_;

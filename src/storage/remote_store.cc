@@ -35,19 +35,12 @@ RemoteStore::opLatency() const
 }
 
 void
-RemoteStore::put(const std::string& key, int64_t bytes, Payload body,
-                 int from_node, PutCallback on_done)
-{
-    put(key, bytes, std::move(body), from_node, std::move(on_done), 0);
-}
-
-void
-RemoteStore::put(const std::string& key, int64_t bytes, Payload body,
-                 int from_node, PutCallback on_done, obs::SpanId cause)
+RemoteStore::put(const std::string& key, int64_t bytes, int from_node,
+                 PutCallback on_done, obs::SpanId cause)
 {
     stats_.puts++;
     stats_.bytes_written += bytes;
-    objects_[key] = Object{bytes, std::move(body)};
+    objects_[key] = bytes;
 
     const SimTime start = sim_.now();
     obs::SpanId span = 0;
@@ -79,19 +72,13 @@ RemoteStore::put(const std::string& key, int64_t bytes, Payload body,
 }
 
 void
-RemoteStore::get(const std::string& key, int to_node, GetCallback on_done)
-{
-    get(key, to_node, std::move(on_done), 0);
-}
-
-void
 RemoteStore::get(const std::string& key, int to_node, GetCallback on_done,
                  obs::SpanId cause)
 {
     const auto it = objects_.find(key);
     if (it == objects_.end())
         panic("remote store: get of missing key '%s'", key.c_str());
-    const int64_t bytes = it->second.bytes;
+    const int64_t bytes = it->second;
     stats_.gets++;
     stats_.bytes_read += bytes;
 
@@ -102,34 +89,27 @@ RemoteStore::get(const std::string& key, int to_node, GetCallback on_done,
             "storage", "get", static_cast<int>(obs::TraceTrack::Storage),
             start);
     }
-    const auto done = [this, start, span, cause, key](
-                          const GetCallback& cb, int64_t got_bytes,
-                          const Payload& body) {
+    const auto done = [this, start, span, cause, key,
+                       bytes](const GetCallback& cb) {
         if (trace_) {
             trace_->closeSpan(span, sim_.now(), key);
             // The arrow lands when the data does — at the consumer.
             trace_->flow("storage", span, cause, sim_.now(), sim_.now());
         }
         if (cb)
-            cb(sim_.now() - start, got_bytes, body);
+            cb(sim_.now() - start, bytes);
     };
     if (to_node == storage_node_ || bytes == 0) {
-        sim_.schedule(opLatency(), [done, bytes, body = it->second.body,
-                                    cb = std::move(on_done)] {
-            done(cb, bytes, body);
-        });
+        sim_.schedule(opLatency(),
+                      [done, cb = std::move(on_done)] { done(cb); });
         return;
     }
-    // Operation latency first (lookup), then the transfer back. The body
-    // handle rides along with the callback — simulated transfer time is
-    // billed on `bytes`, never on the host-side blob.
+    // Operation latency first (lookup), then the transfer back.
     sim_.schedule(opLatency(), [this, to_node, bytes, done,
-                                body = it->second.body,
                                 cb = std::move(on_done)]() mutable {
         network_.startFlow(storage_node_, to_node, bytes,
-                           [done, bytes, body = std::move(body),
-                            cb = std::move(cb)](SimTime) {
-                               done(cb, bytes, body);
+                           [done, cb = std::move(cb)](SimTime) {
+                               done(cb);
                            });
     });
 }
@@ -138,13 +118,6 @@ bool
 RemoteStore::contains(const std::string& key) const
 {
     return objects_.count(key) > 0;
-}
-
-Payload
-RemoteStore::payloadOf(const std::string& key) const
-{
-    const auto it = objects_.find(key);
-    return it == objects_.end() ? Payload{} : it->second.body;
 }
 
 void
@@ -157,8 +130,8 @@ int64_t
 RemoteStore::storedBytes() const
 {
     int64_t total = 0;
-    for (const auto& [key, object] : objects_)
-        total += object.bytes;
+    for (const auto& [key, bytes] : objects_)
+        total += bytes;
     return total;
 }
 

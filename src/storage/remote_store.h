@@ -19,7 +19,7 @@ namespace faasflow::storage {
  * therefore contend for the storage node's bandwidth — the bottleneck
  * the paper throttles with wondershaper in §5.4.
  */
-class RemoteStore : public KvStore
+class RemoteStore
 {
   public:
     struct Config
@@ -33,32 +33,34 @@ class RemoteStore : public KvStore
     RemoteStore(sim::Simulator& sim, net::Network& network,
                 net::NodeId storage_node);
 
-    using KvStore::put;
-    void put(const std::string& key, int64_t bytes, Payload body,
-             int from_node, PutCallback on_done) override;
-    void get(const std::string& key, int to_node,
-             GetCallback on_done) override;
+    /**
+     * Stores `bytes` under `key`, overwriting any previous object, and
+     * ships them from `from_node` to the storage node. With a trace
+     * attached, records a "storage" span on the Storage track for the
+     * operation's lifetime with a flow arrow from `cause` (the producer
+     * shipping its output); `cause` 0 records the span without arrows.
+     */
+    void put(const std::string& key, int64_t bytes, int from_node,
+             PutCallback on_done, obs::SpanId cause = 0);
 
     /**
-     * As the KvStore operations, but causally traced: each records a
-     * "storage" span on the Storage track for the operation's lifetime,
-     * with a flow arrow from `cause` into the put (the producer shipping
-     * its output) and from the get back into `cause` (the data arriving
-     * at the consumer). `cause` 0 records the span without arrows.
+     * Reads the object under `key` back to `to_node`; a missing key is a
+     * protocol bug in the engine and panics. Traced like put(), with the
+     * arrow running from the get back into `cause` (the data arriving at
+     * the consumer).
      */
-    void put(const std::string& key, int64_t bytes, Payload body,
-             int from_node, PutCallback on_done, obs::SpanId cause);
     void get(const std::string& key, int to_node, GetCallback on_done,
-             obs::SpanId cause);
+             obs::SpanId cause = 0);
 
-    /** Attaches the activity recorder (see the traced put/get). */
+    /** Attaches the activity recorder (see put/get). */
     void setTrace(obs::TraceRecorder* trace) { trace_ = trace; }
-    bool contains(const std::string& key) const override;
-    Payload payloadOf(const std::string& key) const override;
-    void erase(const std::string& key) override;
-    const StoreStats& stats() const override { return stats_; }
+    bool contains(const std::string& key) const;
 
-    net::NodeId storageNode() const { return storage_node_; }
+    /** Drops a key; no-op when absent. */
+    void erase(const std::string& key);
+
+    const StoreStats& stats() const { return stats_; }
+
     size_t objectCount() const { return objects_.size(); }
     int64_t storedBytes() const;
 
@@ -72,15 +74,10 @@ class RemoteStore : public KvStore
     net::Network& network_;
     net::NodeId storage_node_;
     Config config_;
-    struct Object
-    {
-        int64_t bytes = 0;  ///< simulated size (transfer billing unit)
-        Payload body;       ///< optional host-side blob, shared not copied
-    };
-
     double degrade_factor_ = 1.0;
     obs::TraceRecorder* trace_ = nullptr;
-    std::unordered_map<std::string, Object, StringHash, std::equal_to<>>
+    /** Key -> simulated size (transfer billing unit). */
+    std::unordered_map<std::string, int64_t, StringHash, std::equal_to<>>
         objects_;
     StoreStats stats_;
 

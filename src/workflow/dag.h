@@ -27,7 +27,7 @@ enum class StepKind {
  * parallel/switch/foreach construct atomic during graph partition.
  * `foreach_width` is the static executor width of a foreach body — the
  * control-plane node maps to `foreach_width` data-plane instances
- * (the paper's Map(v) starts from this and is refined by feedback).
+ * (the paper's Map(v)).
  */
 struct DagNode
 {

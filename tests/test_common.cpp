@@ -279,22 +279,6 @@ TEST(PercentilesTest, MergeCombinesSamples)
     EXPECT_DOUBLE_EQ(a.p50(), 2.0);
 }
 
-TEST(HistogramTest, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        h.add(i + 0.5);
-    h.add(-1.0);
-    h.add(100.0);
-    EXPECT_EQ(h.total(), 12u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    for (size_t i = 0; i < 10; ++i)
-        EXPECT_EQ(h.bucket(i), 1u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(3), 3.0);
-    EXPECT_FALSE(h.str().empty());
-}
-
 // ---------------------------------------------------------------- Strings
 
 TEST(StringUtilTest, Split)

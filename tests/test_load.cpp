@@ -310,7 +310,6 @@ TEST(AdmissionTest, TokenBucketShedsBeyondBurstAndRefills)
     EXPECT_EQ(st.shed, 2u);
     EXPECT_EQ(st.shed_rate, 2u);
     EXPECT_EQ(st.completed, 4u);
-    EXPECT_EQ(system.metrics().tenantSheds("t"), 2u);
     EXPECT_EQ(system.metrics().tenantCount("t"), 4u);
 }
 

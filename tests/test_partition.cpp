@@ -245,7 +245,6 @@ TEST(FeedbackTest, DefaultsAreOne)
 {
     RuntimeFeedback f;
     EXPECT_DOUBLE_EQ(f.scale("unknown"), 1.0);
-    EXPECT_DOUBLE_EQ(f.map("unknown"), 1.0);
 }
 
 TEST(FeedbackTest, AveragesObservations)
@@ -254,8 +253,6 @@ TEST(FeedbackTest, AveragesObservations)
     f.recordScale("n", 2.0);
     f.recordScale("n", 4.0);
     EXPECT_DOUBLE_EQ(f.scale("n"), 3.0);
-    f.recordMap("m", 8.0);
-    EXPECT_DOUBLE_EQ(f.map("m"), 8.0);
     f.clear();
     EXPECT_DOUBLE_EQ(f.scale("n"), 1.0);
 }
@@ -330,8 +327,7 @@ TEST(GraphSchedulerTest, QuotaUsesMapFeedback)
 
     GraphScheduler::Config config;
     GraphScheduler scheduler(registry, config);
-    RuntimeFeedback feedback;
-    const int64_t quota = scheduler.computeQuota(wdl.dag, feedback);
+    const int64_t quota = scheduler.computeQuota(wdl.dag);
     // body: (256 MB - 120 MB - 32 MiB headroom) * width 4; pre/post: 0.
     const int64_t per =
         256 * kMB - 120 * kMB - config.headroom;

@@ -1,7 +1,6 @@
 /** @file Tests for the online profile store: log-scale histogram
- *  algebra (merge associativity/commutativity), digest order-
- *  independence, campaign digest bit-identity, and the chaos-vs-golden
- *  anomaly detector. */
+ *  binning and quantiles, digest order-independence, campaign digest
+ *  bit-identity, and the chaos-vs-golden anomaly detector. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,51 +53,6 @@ TEST(LogHistogramTest, CountSumMaxQuantile)
     EXPECT_GE(h.p50(), 100.0);
 }
 
-TEST(LogHistogramTest, MergeIsAssociativeAndCommutative)
-{
-    Rng rng(42);
-    auto randomHist = [&rng] {
-        LogHistogram h;
-        const int n = 50 + static_cast<int>(rng.uniformInt(0, 199));
-        for (int i = 0; i < n; ++i) {
-            // Span many octaves: µs-scale latencies to GB-scale bytes.
-            const int64_t v = rng.uniformInt(1, 1'000'000'000);
-            h.record(v);
-        }
-        return h;
-    };
-    for (int trial = 0; trial < 20; ++trial) {
-        const LogHistogram a = randomHist();
-        const LogHistogram b = randomHist();
-        const LogHistogram c = randomHist();
-
-        LogHistogram ab_c = a;
-        ab_c.merge(b);
-        ab_c.merge(c);
-
-        LogHistogram a_bc = b;
-        a_bc.merge(c);
-        LogHistogram left = a;
-        left.merge(a_bc);
-
-        LogHistogram cba = c;
-        cba.merge(b);
-        cba.merge(a);
-
-        uint64_t d1 = 14695981039346656037ULL;
-        uint64_t d2 = d1;
-        uint64_t d3 = d1;
-        ab_c.fold(d1);
-        left.fold(d2);
-        cba.fold(d3);
-        EXPECT_EQ(d1, d2) << "trial " << trial;
-        EXPECT_EQ(d1, d3) << "trial " << trial;
-        EXPECT_EQ(ab_c.count(), cba.count());
-        EXPECT_EQ(ab_c.sum(), cba.sum());
-        EXPECT_EQ(ab_c.max(), cba.max());
-    }
-}
-
 // ------------------------------------------------------ ProfileStore
 
 TEST(ProfileStoreTest, DisabledStoreRecordsNothing)
@@ -139,41 +93,6 @@ TEST(ProfileStoreTest, DigestIndependentOfRecordingOrder)
 
     EXPECT_EQ(forward.digest(), backward.digest());
     EXPECT_NE(forward.digest(), ProfileStore().digest());
-}
-
-TEST(ProfileStoreTest, MergeOrderDoesNotChangeDigest)
-{
-    auto makeStore = [](uint64_t seed) {
-        ProfileStore store;
-        store.enable();
-        Rng rng(seed);
-        for (int i = 0; i < 100; ++i) {
-            store.recordExec("wf", seed % 2 == 0 ? "a" : "b",
-                             SimTime::micros(rng.uniformInt(1, 50000)));
-            store.recordEdge(
-                "wf", seed % 3, "a", "b", SimTime::micros(i * 1000),
-                4096, rng.uniformInt(1, 10000),
-                SimTime::micros(rng.uniformInt(1, 3000)), i % 2 == 0);
-            store.recordTenantCompletion(
-                "t", SimTime::micros(2000 + i), i % 7 == 0);
-        }
-        return store;
-    };
-    const ProfileStore s1 = makeStore(1);
-    const ProfileStore s2 = makeStore(2);
-    const ProfileStore s3 = makeStore(3);
-
-    ProfileStore left = s1;
-    left.merge(s2);
-    left.merge(s3);
-
-    ProfileStore right = s3;
-    right.merge(s1);
-    right.merge(s2);
-
-    EXPECT_EQ(left.digest(), right.digest());
-    EXPECT_EQ(left.nodeSampleCount(), right.nodeSampleCount());
-    EXPECT_EQ(left.edgeSampleCount(), right.edgeSampleCount());
 }
 
 // ----------------------------------------------------- Anomaly detection
@@ -294,21 +213,10 @@ TEST(ProfileStoreTest, CampaignDigestsIdenticalAcrossThreadCounts)
     const std::vector<obs::ProfileStore> seq = bench::runCampaign(jobs, 1);
     const std::vector<obs::ProfileStore> par = bench::runCampaign(jobs, 4);
     ASSERT_EQ(seq.size(), par.size());
-    for (size_t i = 0; i < seq.size(); ++i)
-        EXPECT_EQ(seq[i].digest(), par[i].digest()) << "job " << i;
-
-    // Folding the per-job stores in job order is the canonical campaign
-    // aggregate; it must not depend on the execution width either.
-    ProfileStore merged_seq;
-    merged_seq.enable();
-    ProfileStore merged_par;
-    merged_par.enable();
     for (size_t i = 0; i < seq.size(); ++i) {
-        merged_seq.merge(seq[i]);
-        merged_par.merge(par[i]);
+        EXPECT_EQ(seq[i].digest(), par[i].digest()) << "job " << i;
+        EXPECT_GT(seq[i].nodeSampleCount(), 0u) << "job " << i;
     }
-    EXPECT_EQ(merged_seq.digest(), merged_par.digest());
-    EXPECT_GT(merged_seq.nodeSampleCount(), 0u);
 }
 
 // ---------------------------------------------------------- Exporters

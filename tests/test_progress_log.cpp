@@ -21,11 +21,12 @@ struct Fixture
     net::NodeId worker;
     ProgressLog log;
 
-    explicit Fixture(ProgressLog::Config config = {})
+    explicit Fixture(ProgressLog::Config config = {},
+                     bool group_commit = false)
         : net(sim),
           storage(net.addNode("storage", 100e6, 100e6)),
           worker(net.addNode("worker", 100e6, 100e6)),
-          log(sim, net, storage, config)
+          log(sim, net, storage, config, group_commit)
     {
     }
 };
@@ -182,7 +183,6 @@ groupConfig(size_t batch_max = 16,
             SimTime window = SimTime::micros(300))
 {
     ProgressLog::Config config;
-    config.group_commit = true;
     config.batch_window = window;
     config.batch_max_records = batch_max;
     return config;
@@ -190,7 +190,7 @@ groupConfig(size_t batch_max = 16,
 
 TEST(ProgressLogTest, GroupCommitFlushesWhenBatchFills)
 {
-    Fixture f(groupConfig(/*batch_max=*/4));
+    Fixture f(groupConfig(/*batch_max=*/4), /*group_commit=*/true);
     std::vector<SimTime> elapsed;
     for (int32_t n = 0; n < 4; ++n) {
         f.log.append(f.storage, nodeDone(1, n),
@@ -211,7 +211,7 @@ TEST(ProgressLogTest, GroupCommitFlushesWhenBatchFills)
 
 TEST(ProgressLogTest, GroupCommitLingerFlushesPartialBatch)
 {
-    Fixture f(groupConfig(/*batch_max=*/16));
+    Fixture f(groupConfig(/*batch_max=*/16), /*group_commit=*/true);
     std::vector<SimTime> elapsed;
     for (int32_t n = 0; n < 2; ++n) {
         f.log.append(f.storage, nodeDone(1, n),
@@ -241,7 +241,7 @@ TEST(ProgressLogTest, GroupCommitBatchPaysOneDegradedCommit)
     // single commit, not once per record — and it is sampled at flush
     // time, so a brown-out arriving mid-linger stretches the whole
     // batch.
-    Fixture f(groupConfig(/*batch_max=*/16));
+    Fixture f(groupConfig(/*batch_max=*/16), /*group_commit=*/true);
     std::vector<SimTime> elapsed;
     for (int32_t n = 0; n < 3; ++n) {
         f.log.append(f.storage, nodeDone(1, n),
@@ -261,7 +261,7 @@ TEST(ProgressLogTest, GroupCommitBatchPaysOneDegradedCommit)
 
 TEST(ProgressLogTest, WorkerBatchRidesOneMessageAndAcksEveryRecord)
 {
-    Fixture f(groupConfig(/*batch_max=*/3));
+    Fixture f(groupConfig(/*batch_max=*/3), /*group_commit=*/true);
     std::vector<SimTime> elapsed;
     for (int32_t n = 0; n < 3; ++n) {
         f.log.append(f.worker, nodeDone(1, n),
@@ -281,7 +281,7 @@ TEST(ProgressLogTest, WorkerBatchRidesOneMessageAndAcksEveryRecord)
 
 TEST(ProgressLogTest, DropPendingLosesOnlyTheUnflushedSuffix)
 {
-    Fixture f(groupConfig(/*batch_max=*/4));
+    Fixture f(groupConfig(/*batch_max=*/4), /*group_commit=*/true);
     std::vector<SimTime> elapsed;
     // 4 records flush by size immediately; the 5th starts a new buffer.
     for (int32_t n = 0; n < 5; ++n) {
@@ -311,7 +311,8 @@ TEST(ProgressLogTest, DropPendingLosesOnlyTheUnflushedSuffix)
 
 TEST(ProgressLogTest, ExplicitFlushDrainsEveryOrigin)
 {
-    Fixture f(groupConfig(/*batch_max=*/16, SimTime::seconds(60)));
+    Fixture f(groupConfig(/*batch_max=*/16, SimTime::seconds(60)),
+              /*group_commit=*/true);
     bool a = false, b = false;
     f.log.append(f.storage, nodeDone(1, 0), [&](SimTime) { a = true; });
     f.log.append(f.worker, nodeDone(1, 1), [&](SimTime) { b = true; });

@@ -61,7 +61,7 @@ TEST(RemoteStoreTest, GetTransfersBack)
     f.sim.run();
     SimTime elapsed;
     int64_t got = 0;
-    f.remote->get("k", f.worker_nid, [&](SimTime t, int64_t bytes, const Payload&) {
+    f.remote->get("k", f.worker_nid, [&](SimTime t, int64_t bytes) {
         elapsed = t;
         got = bytes;
     });
@@ -91,6 +91,20 @@ TEST(RemoteStoreTest, EraseRemoves)
     f.remote->erase("k");  // idempotent
 }
 
+TEST(RemoteStoreTest, OverwriteReplacesSize)
+{
+    Fixture f;
+    f.remote->put("k", 1 * kMB, f.worker_nid, nullptr);
+    f.remote->put("k", 2 * kMB, f.worker_nid, nullptr);
+    f.sim.run();
+    EXPECT_EQ(f.remote->objectCount(), 1u);
+    EXPECT_EQ(f.remote->storedBytes(), 2 * kMB);
+    int64_t got = 0;
+    f.remote->get("k", f.worker_nid, [&](SimTime, int64_t b) { got = b; });
+    f.sim.run();
+    EXPECT_EQ(got, 2 * kMB);
+}
+
 TEST(RemoteStoreDeathTest, GetMissingPanics)
 {
     Fixture f;
@@ -105,7 +119,7 @@ TEST(MemStoreTest, ReserveThenPut)
     MemStore mem(sim, 10 * kMB);
     EXPECT_TRUE(mem.tryReserve(6 * kMB));
     EXPECT_FALSE(mem.tryReserve(5 * kMB));  // would exceed capacity
-    mem.put("a", 6 * kMB, 0, nullptr);
+    mem.put("a", 6 * kMB, nullptr);
     sim.run();
     EXPECT_EQ(mem.usedBytes(), 6 * kMB);
     EXPECT_TRUE(mem.contains("a"));
@@ -122,9 +136,9 @@ TEST(MemStoreTest, CopyLatencyModel)
     MemStore mem(sim, 100 * kMB, config);
     ASSERT_TRUE(mem.tryReserve(10 * kMB));
     SimTime put_t, get_t;
-    mem.put("a", 10 * kMB, 0, [&](SimTime t) { put_t = t; });
+    mem.put("a", 10 * kMB, [&](SimTime t) { put_t = t; });
     sim.run();
-    mem.get("a", 0, [&](SimTime t, int64_t, const Payload&) { get_t = t; });
+    mem.get("a", [&](SimTime t, int64_t) { get_t = t; });
     sim.run();
     // 10 MB at 1 GB/s = 10 ms + 0.1 ms op.
     EXPECT_NEAR(put_t.millisF(), 10.1, 1e-6);
@@ -135,7 +149,7 @@ TEST(MemStoreDeathTest, PutWithoutReservationPanics)
 {
     sim::Simulator sim;
     MemStore mem(sim, kMB);
-    EXPECT_DEATH(mem.put("a", 100, 0, nullptr), "reservation");
+    EXPECT_DEATH(mem.put("a", 100, nullptr), "reservation");
 }
 
 // ----------------------------------------------------- Quota (Eq. 1-2)
@@ -246,7 +260,7 @@ TEST(FaaStoreTest, FetchPrefersLocal)
     f.store->save("wf", "k", 10 * kMB, true, nullptr);
     f.sim.run();
     SimTime local_t;
-    f.store->fetch("wf", "k", [&](SimTime t, int64_t, const Payload&) { local_t = t; });
+    f.store->fetch("k", [&](SimTime t, int64_t) { local_t = t; });
     f.sim.run();
     // Local memory copy is far below any network transfer time.
     EXPECT_LT(local_t, SimTime::millis(50));
@@ -258,7 +272,7 @@ TEST(FaaStoreTest, FetchFallsThroughToRemote)
     f.remote->put("k", 10 * kMB, f.worker_nid, nullptr);
     f.sim.run();
     int64_t got = 0;
-    f.store->fetch("wf", "k", [&](SimTime, int64_t b, const Payload&) { got = b; });
+    f.store->fetch("k", [&](SimTime, int64_t b) { got = b; });
     f.sim.run();
     EXPECT_EQ(got, 10 * kMB);
 }
@@ -335,70 +349,6 @@ TEST(FaaStoreTest, MultiplePoolsShareMemStore)
                   [&](SimTime, bool l) { local2 = l; });
     f.sim.run();
     EXPECT_TRUE(local2);
-}
-
-// ------------------------------------------------- zero-copy payloads
-
-TEST(PayloadTest, LocalSaveAndFetchShareOneBlob)
-{
-    Fixture f;
-    ASSERT_TRUE(f.store->allocatePool("wf", 10 * kMB));
-    const Payload body = makePayload("the actual bytes");
-    f.store->save("wf", "k", 5 * kMB, body, true, nullptr);
-    f.sim.run();
-    ASSERT_TRUE(f.store->hasLocal("k"));
-    // The store holds the same allocation, not a copy.
-    EXPECT_EQ(f.store->payloadOf("k").get(), body.get());
-    Payload fetched;
-    f.store->fetch("wf", "k",
-                   [&](SimTime, int64_t, const Payload& b) { fetched = b; });
-    f.sim.run();
-    EXPECT_EQ(fetched.get(), body.get());
-    // Simulated size stays the billing unit: the pool charged 5 MB, not
-    // the blob's host-side length.
-    EXPECT_EQ(f.store->poolUsed("wf"), 5 * kMB);
-}
-
-TEST(PayloadTest, RemoteFallbackForwardsTheSameHandle)
-{
-    Fixture f;
-    // No pool: a prefer-local save must fall back to the remote store
-    // with the identical blob handle.
-    const Payload body = makePayload("falls through untouched");
-    f.store->save("wf", "k", 5 * kMB, body, true, nullptr);
-    f.sim.run();
-    EXPECT_FALSE(f.store->hasLocal("k"));
-    EXPECT_EQ(f.remote->payloadOf("k").get(), body.get());
-    Payload fetched;
-    f.store->fetch("wf", "k",
-                   [&](SimTime, int64_t, const Payload& b) { fetched = b; });
-    f.sim.run();
-    EXPECT_EQ(fetched.get(), body.get());
-}
-
-TEST(PayloadTest, SizeOnlyObjectsStayNull)
-{
-    Fixture f;
-    f.remote->put("k", 1 * kMB, f.worker_nid, nullptr);
-    f.sim.run();
-    EXPECT_EQ(f.remote->payloadOf("k"), nullptr);
-    Payload fetched = makePayload("sentinel");
-    f.remote->get("k", f.worker_nid,
-                  [&](SimTime, int64_t, const Payload& b) { fetched = b; });
-    f.sim.run();
-    EXPECT_EQ(fetched, nullptr);
-}
-
-TEST(PayloadTest, OverwriteReplacesBody)
-{
-    Fixture f;
-    const Payload first = makePayload("v1");
-    const Payload second = makePayload("v2");
-    f.remote->put("k", 1 * kMB, first, f.worker_nid, nullptr);
-    f.remote->put("k", 2 * kMB, second, f.worker_nid, nullptr);
-    f.sim.run();
-    EXPECT_EQ(f.remote->payloadOf("k").get(), second.get());
-    EXPECT_EQ(f.remote->storedBytes(), 2 * kMB);
 }
 
 }  // namespace

@@ -110,8 +110,7 @@ TEST_P(StorageFuzzTest, RandomOpsPreserveAccounting)
                                  0, static_cast<int64_t>(
                                         model.objects.size()) - 1));
             int64_t got = -1;
-            store.fetch(it->second.workflow, it->first,
-                        [&](SimTime, int64_t bytes, const Payload&) { got = bytes; });
+            store.fetch(it->first, [&](SimTime, int64_t bytes) { got = bytes; });
             sim.run();
             EXPECT_EQ(got, it->second.bytes);
             EXPECT_EQ(store.hasLocal(it->first), it->second.local);

@@ -196,8 +196,10 @@ main(int argc, char** argv)
     const size_t tasks = wdl.dag.taskCount();
     const std::string name = system.deploy(std::move(wdl.dag));
     if (wdl.has_faults) {
-        // Fault times are absolute simulated time, so they land relative
-        // to the very first invocation (including warm-up traffic).
+        // Fault times are absolute simulated time from the first warm-up
+        // invocation. The measured phase starts the moment the warm-up
+        // client finishes, not after the warm-up's keep-alive tail, so a
+        // fault timed past the warm-up lands on measured traffic.
         std::printf("fault schedule:\n%s", wdl.faults.summary().c_str());
         system.installFaults(wdl.faults);
     }
@@ -221,7 +223,13 @@ main(int argc, char** argv)
     if (warmup > 0) {
         ClosedLoopClient client(system, name, warmup);
         client.start();
-        system.run();
+        // Run only until the warm-up traffic is done: draining the queue
+        // would also run every 600 s keep-alive check and start the
+        // measured phase on a cold cluster.
+        while (!client.done() && system.simulator().pendingEvents() > 0)
+            system.runFor(SimTime::millis(1));
+        // Close any alert span before the warm-up trace is dropped.
+        system.sloMonitor().finish(system.simulator().now());
         if (flags.getBool("repartition"))
             system.repartition(name);
         system.metrics().clear();
@@ -542,7 +550,7 @@ main(int argc, char** argv)
         std::printf("telemetry written to %s.prom / %s.csv (%zu samples, "
                     "%zu gauges)\n",
                     prefix.c_str(), prefix.c_str(),
-                    system.telemetry().samples().size(),
+                    system.telemetry().ticks(),
                     system.telemetry().gaugeCount());
     }
     if (!flags.getString("dot").empty()) {
