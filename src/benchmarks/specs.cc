@@ -1,10 +1,8 @@
 #include "benchmarks/specs.h"
 
-#include <map>
-#include <set>
-
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "workflow/analysis.h"
 #include "workflow/wdl.h"
 
 namespace faasflow::benchmarks {
@@ -305,14 +303,11 @@ realWorldBenchmarks()
 workflow::Dag
 stripPayloads(const workflow::Dag& dag)
 {
-    workflow::Dag stripped(dag.name());
-    for (const auto& node : dag.nodes()) {
-        workflow::DagNode copy = node;
-        copy.id = -1;
-        stripped.addNode(std::move(copy));
+    workflow::Dag stripped = dag;
+    for (size_t e = 0; e < stripped.edgeCount(); ++e) {
+        stripped.edge(e).payload.clear();
+        stripped.edge(e).weight = SimTime::zero();
     }
-    for (const auto& edge : dag.edges())
-        stripped.addEdge(edge.from, edge.to, 0, SimTime::zero());
     return stripped;
 }
 
@@ -321,13 +316,8 @@ monolithicBytes(const workflow::Dag& dag)
 {
     // Each produced datum is counted once: in a single process the
     // producer's output is shared in memory by every consumer.
-    std::map<workflow::NodeId, int64_t> outputs;
-    for (const auto& edge : dag.edges()) {
-        for (const auto& item : edge.payload)
-            outputs[item.origin] = item.bytes;
-    }
     int64_t total = 0;
-    for (const auto& [origin, bytes] : outputs)
+    for (const int64_t bytes : workflow::indexDag(dag).output_bytes)
         total += bytes;
     return total;
 }
@@ -337,19 +327,15 @@ faasShippedBytes(const workflow::Dag& dag)
 {
     // One store write per produced datum plus one fetch per consuming
     // executor instance (foreach width amplifies the fetches).
-    std::map<workflow::NodeId, int64_t> outputs;
-    int64_t fetched = 0;
-    for (const auto& edge : dag.edges()) {
-        const int width = dag.node(edge.to).foreach_width;
-        for (const auto& item : edge.payload) {
-            outputs[item.origin] = item.bytes;
-            fetched += item.bytes * width;
-        }
+    const workflow::DagIndex index = workflow::indexDag(dag);
+    int64_t shipped = 0;
+    for (size_t i = 0; i < index.output_bytes.size(); ++i) {
+        const int64_t bytes = index.output_bytes[i];
+        shipped += bytes;
+        for (const workflow::NodeId to : index.consumers[i])
+            shipped += bytes * dag.node(to).foreach_width;
     }
-    int64_t written = 0;
-    for (const auto& [origin, bytes] : outputs)
-        written += bytes;
-    return written + fetched;
+    return shipped;
 }
 
 }  // namespace faasflow::benchmarks

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "workflow/analysis.h"
+
 namespace faasflow::engine {
 
 namespace {
@@ -32,10 +34,8 @@ MasterEngine::setSinkNotifier(std::function<void(Invocation&)> notifier)
 void
 MasterEngine::invoke(Invocation& inv)
 {
-    for (const auto& node : inv.wf->dag.nodes()) {
-        if (inv.wf->dag.inEdges(node.id).empty())
-            trigger(inv, node.id);
-    }
+    for (const workflow::NodeId source : workflow::sourceNodes(inv.wf->dag))
+        trigger(inv, source);
 }
 
 void

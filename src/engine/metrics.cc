@@ -55,27 +55,13 @@ invocationOutputDigest(const Invocation& inv)
     const auto byte = [&h](uint8_t b) { h = fnv1aStep(h, b); };
     const auto word = [&h](uint64_t v) { h = fnv1aFoldWord(h, v); };
 
-    const auto& dag = inv.wf->dag;
-    for (const auto& node : dag.nodes()) {
-        const size_t i = static_cast<size_t>(node.id);
-        word(static_cast<uint64_t>(node.id));
+    const auto& output_bytes = inv.wf->index.output_bytes;
+    for (size_t i = 0; i < output_bytes.size(); ++i) {
+        word(static_cast<uint64_t>(i));
         byte(inv.node_done[i] ? 1 : 0);
         byte(inv.node_skipped[i] ? 1 : 0);
-        // The static output size consumers read (edge payload items this
-        // node originated); zero when the node produced nothing.
-        int64_t out_bytes = 0;
-        for (const size_t e : dag.outEdges(node.id)) {
-            for (const auto& item : dag.edge(e).payload) {
-                if (item.origin == node.id) {
-                    out_bytes = item.bytes;
-                    break;
-                }
-            }
-            if (out_bytes != 0)
-                break;
-        }
         word(inv.node_done[i] && !inv.node_skipped[i]
-                 ? static_cast<uint64_t>(out_bytes)
+                 ? static_cast<uint64_t>(output_bytes[i])
                  : 0);
     }
     for (const auto& [sw, branch] : inv.switch_choice) {

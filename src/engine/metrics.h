@@ -22,8 +22,8 @@ SimTime actualCriticalExec(const workflow::Dag& dag,
 
 /**
  * Order-independent FNV-1a digest over an invocation's observable
- * outputs: per-node done/skip flags, the static output sizes consumers
- * read, and the switch choices. Objects are modelled by size alone, so
+ * outputs: per-node done/skip flags, the size of each done node's saved
+ * object (DagIndex::output_bytes), and the switch choices. Objects are modelled by size alone, so
  * there are no payload bodies to fold.
  * Timing (exec durations, latencies) and at-least-once artifacts
  * (functions_executed, retries) are deliberately excluded, so a run

@@ -8,63 +8,64 @@ std::vector<uint8_t>
 lostNodeSet(const Invocation& inv, int crashed_worker)
 {
     const auto& dag = inv.wf->dag;
+    const auto& placement = *inv.placement;
     std::vector<uint8_t> rerun(dag.nodeCount(), 0);
-
-    // Fixpoint: seed with unfinished nodes on the dead worker, then pull
-    // in done producers whose (lost) local output some re-run or not-done
-    // consumer still has to read. Adding a producer clears its done flag
-    // conceptually, which can make its own producers needed — iterate.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const auto& node : dag.nodes()) {
-            const size_t idx = static_cast<size_t>(node.id);
-            if (rerun[idx] ||
-                inv.placement->workerOf(node.id) != crashed_worker) {
-                continue;
-            }
-            if (!inv.node_done[idx]) {
-                rerun[idx] = 1;
-                changed = true;
-                continue;
-            }
-            if (inv.node_output_worker[idx] != crashed_worker)
-                continue;  // output in the remote store (or none): safe
-            bool needed = false;
-            for (const auto& edge : dag.edges()) {
-                for (const auto& item : edge.payload) {
-                    const size_t to = static_cast<size_t>(edge.to);
-                    if (item.origin == node.id &&
-                        (rerun[to] || !inv.node_done[to])) {
-                        needed = true;
-                    }
-                }
-            }
-            if (needed) {
-                rerun[idx] = 1;
-                changed = true;
-            }
+    std::vector<workflow::NodeId> worklist;
+    const auto add = [&rerun, &worklist](workflow::NodeId id) {
+        if (!rerun[static_cast<size_t>(id)]) {
+            rerun[static_cast<size_t>(id)] = 1;
+            worklist.push_back(id);
         }
+    };
+    // A done producer on the dead worker whose output lived only in its
+    // local memory; it re-runs once any reader of that output is pending.
+    const auto outputLost = [&](workflow::NodeId id) {
+        const size_t idx = static_cast<size_t>(id);
+        return placement.workerOf(id) == crashed_worker &&
+               inv.node_done[idx] &&
+               inv.node_output_worker[idx] == crashed_worker;
+    };
 
-        // Done virtual fences gating a re-run node must re-run too:
-        // payload rides through fences (a consumer's trigger gate is the
-        // fence, not the payload's origin), so leaving the fence done
-        // would let the consumer fire before the re-run producer has
-        // regenerated its output. Re-running a fence is free (virtual,
-        // no data) and the wave then flows producer -> fence -> consumer
-        // in dependency order. Fences have successors by construction,
-        // so completed sinks are never pulled in (their client-side
-        // completion already counted).
-        for (const auto& node : dag.nodes()) {
-            const size_t idx = static_cast<size_t>(node.id);
-            if (rerun[idx] || !node.isVirtual() || !inv.node_done[idx])
-                continue;
-            for (const size_t e : dag.outEdges(node.id)) {
-                if (rerun[static_cast<size_t>(dag.edge(e).to)]) {
-                    rerun[idx] = 1;
-                    changed = true;
+    // Seeds: unfinished nodes on the dead worker, and done ones there
+    // whose lost output a not-done consumer still has to read.
+    for (const auto& node : dag.nodes()) {
+        const size_t idx = static_cast<size_t>(node.id);
+        if (placement.workerOf(node.id) != crashed_worker)
+            continue;
+        if (!inv.node_done[idx]) {
+            add(node.id);
+        } else if (outputLost(node.id)) {
+            for (const workflow::NodeId to : inv.wf->index.consumers[idx]) {
+                if (!inv.node_done[static_cast<size_t>(to)]) {
+                    add(node.id);
                     break;
                 }
+            }
+        }
+    }
+
+    // Closure: every added node walks its in-edges once. A producer whose
+    // lost output the node reads must re-run with it. So must a done
+    // virtual fence gating it: payload rides through fences (a
+    // consumer's trigger gate is the fence, not the payload's origin),
+    // so leaving the fence done would let the consumer fire before the
+    // re-run producer has regenerated its output. Re-running a fence is
+    // free (virtual, no data) and the wave then flows producer -> fence
+    // -> consumer in dependency order. Fences have successors by
+    // construction, so completed sinks are never pulled in (their
+    // client-side completion already counted).
+    while (!worklist.empty()) {
+        const workflow::NodeId id = worklist.back();
+        worklist.pop_back();
+        for (const size_t e : dag.inEdges(id)) {
+            const auto& edge = dag.edge(e);
+            if (dag.node(edge.from).isVirtual() &&
+                inv.node_done[static_cast<size_t>(edge.from)]) {
+                add(edge.from);
+            }
+            for (const auto& item : edge.payload) {
+                if (outputLost(item.origin))
+                    add(item.origin);
             }
         }
     }

@@ -46,8 +46,10 @@ struct RecoveryConfig
  * re-execute a *task*; only zero-cost virtual fences may be re-driven
  * elsewhere.
  *
- * Returns one flag per DAG node; all-zero when the invocation lost
- * nothing (no recovery needed).
+ * One worklist pass: each node added to the set walks its in-edges
+ * once, so the cost is linear in the DAG's size. Returns one flag per
+ * DAG node; all-zero when the invocation lost nothing (no recovery
+ * needed).
  */
 std::vector<uint8_t> lostNodeSet(const Invocation& inv, int crashed_worker);
 

@@ -316,30 +316,17 @@ TaskExecutor::runInstanceAttempt(std::shared_ptr<RunState> rs,
 void
 TaskExecutor::saveOutput(std::shared_ptr<RunState> rs)
 {
-    const auto& dag = rs->inv->wf->dag;
-    // The node's output size: the payload item it originates (identical
-    // on every consuming edge — one object, many readers).
-    int64_t output_bytes = 0;
-    bool has_consumer = false;
-    for (const auto& edge : dag.edges()) {
-        for (const auto& item : edge.payload) {
-            if (item.origin == rs->node_id) {
-                output_bytes = item.bytes;
-                has_consumer = true;
-                break;
-            }
-        }
-        if (has_consumer)
-            break;
-    }
-    if (!has_consumer || output_bytes == 0) {
+    const auto& index = rs->inv->wf->index;
+    const int64_t output_bytes =
+        index.output_bytes[static_cast<size_t>(rs->node_id)];
+    if (output_bytes == 0) {
         finish(rs);
         return;
     }
 
     const bool prefer_local =
         rs->mode == DataMode::FaaStore &&
-        rs->inv->placement->allConsumersLocal(dag, rs->node_id);
+        rs->inv->placement->allConsumersLocal(index, rs->node_id);
     const std::string key = dataKey(*rs->inv, rs->node_id);
     store_.save(
         rs->inv->wf->name, key, output_bytes, prefer_local,
@@ -377,16 +364,12 @@ void
 TaskExecutor::finish(std::shared_ptr<RunState> rs)
 {
     if (rs->feedback) {
-        const auto& dag = rs->inv->wf->dag;
-        const auto& node = dag.node(rs->node_id);
+        const auto& node = rs->inv->wf->dag.node(rs->node_id);
         // Concurrency is tracked per *function*; several DAG nodes may
         // share one function, so attribute an equal share to this node
         // or Scale(v) would be multiply counted.
-        int sharers = 0;
-        for (const auto& other : dag.nodes()) {
-            if (other.isTask() && other.function == node.function)
-                ++sharers;
-        }
+        const int sharers =
+            rs->inv->wf->index.sharers[static_cast<size_t>(rs->node_id)];
         const double concurrency =
             node_.pool().averageConcurrency(node.function) /
             std::max(sharers, 1);

@@ -1,7 +1,5 @@
 #include "engine/trigger.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -22,18 +20,6 @@ isSkipped(const Invocation& inv, const workflow::DagNode& node)
     return it->second != node.switch_branch;
 }
 
-/** Branch count of a switch construct = max branch index + 1. */
-int
-switchBranchCount(const workflow::Dag& dag, int switch_id)
-{
-    int max_branch = -1;
-    for (const auto& node : dag.nodes()) {
-        if (node.switch_id == switch_id)
-            max_branch = std::max(max_branch, node.switch_branch);
-    }
-    return max_branch + 1;
-}
-
 /** The switch draw: a pure function of the invocation's control seed and
  *  the switch id, so every engine derives it without coordination. */
 int
@@ -52,7 +38,8 @@ void
 drawSwitch(const RuntimeContext& ctx, Invocation& inv,
            const workflow::DagNode& node, net::NodeId origin)
 {
-    const int branches = switchBranchCount(inv.wf->dag, node.switch_id);
+    // The start fence carries the construct's id, so the index has it.
+    const int branches = inv.wf->index.switch_branches.at(node.switch_id);
     if (branches <= 0 || inv.switch_choice.count(node.switch_id))
         return;
     const int branch = chooseSwitchBranch(inv, node.switch_id, branches);

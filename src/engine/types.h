@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "scheduler/feedback.h"
 #include "scheduler/placement.h"
+#include "workflow/analysis.h"
 #include "workflow/dag.h"
 
 namespace faasflow::engine {
@@ -104,6 +105,11 @@ struct DeployedWorkflow
 {
     std::string name;
     workflow::Dag dag;
+
+    /** Built once at deploy; every run-time question about the DAG's
+     *  data or constructs is answered from it. */
+    workflow::DagIndex index;
+
     std::shared_ptr<const scheduler::Placement> placement;
 
     /** Feedback sink for the current partition iteration (may be null
@@ -229,9 +235,11 @@ recordNodeSpanFlows(obs::TraceRecorder* trace, const Invocation& inv,
 {
     if (!trace || !trace->enabled() || to == 0)
         return;
+    const auto& dag = inv.wf->dag;
     bool any = false;
-    for (const workflow::NodeId pred : inv.wf->dag.predecessors(node)) {
-        const obs::SpanId from = inv.node_span[static_cast<size_t>(pred)];
+    for (const size_t e : dag.inEdges(node)) {
+        const obs::SpanId from =
+            inv.node_span[static_cast<size_t>(dag.edge(e).from)];
         if (from != 0) {
             trace->flow("dep", from, to, at);
             any = true;

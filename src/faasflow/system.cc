@@ -348,6 +348,7 @@ System::deploy(workflow::Dag dag, scheduler::Placement placement)
     auto state = std::make_unique<WorkflowState>();
     state->wf.name = name;
     state->wf.dag = std::move(dag);
+    state->wf.index = workflow::indexDag(state->wf.dag);
     state->wf.placement =
         std::make_shared<const scheduler::Placement>(std::move(placement));
     state->wf.feedback = &state->feedback;
@@ -816,14 +817,19 @@ System::crashWorker(size_t worker)
     stores_[worker]->onNodeCrash();
     network_->setLinkUp(node.netId(), false);
     if (progress_log_) {
-        // Completion facts buffered on the worker for its next batch
-        // die with the process; their nodes' outputs died too, so the
-        // lost-node re-drive below doubles as the rollback.
-        const size_t lost = progress_log_->dropPending(node.netId());
-        if (lost > 0) {
+        // Completion facts buffered on the worker for its next batch die
+        // with the process. Under GroupCommit a NodeDone fact's batch
+        // ack is the only thing that propagates the node's completion,
+        // so a dropped fact is rolled back: the node is unfinished on
+        // the dead worker again and detection re-drives it, even when
+        // its output reached the remote store and survived the crash.
+        const auto dropped = progress_log_->dropPending(node.netId());
+        if (!dropped.empty()) {
             ++rstats_.rollbacks;
-            rstats_.dropped_records += lost;
+            rstats_.dropped_records += dropped.size();
         }
+        if (config_.durability_mode == engine::DurabilityMode::GroupCommit)
+            rollBackDroppedFacts(dropped);
     }
     if (trace_.enabled()) {
         // Sweep the worker's lane: whatever was mid-phase dies with the
@@ -842,6 +848,28 @@ System::crashWorker(size_t worker)
     }
     crash_time_[worker] = sim_->now();
     detect_pending_[worker] = 1;
+}
+
+void
+System::rollBackDroppedFacts(const std::vector<storage::LogRecord>& dropped)
+{
+    for (const storage::LogRecord& rec : dropped) {
+        if (rec.kind != storage::LogRecordKind::NodeDone)
+            continue;
+        const auto it = invocations_.find(rec.invocation);
+        if (it == invocations_.end() || it->second->finished)
+            continue;
+        engine::Invocation& inv = *it->second;
+        const size_t idx = static_cast<size_t>(rec.node);
+        if (!inv.node_done[idx])
+            continue;
+        inv.node_done[idx] = 0;
+        inv.node_triggered[idx] = 0;
+        inv.node_output_worker[idx] = -1;
+        ++inv.node_drive_epoch[idx];
+        ++rstats_.rolled_back_nodes;
+        ++inv.record.rolled_back_nodes;
+    }
 }
 
 void
@@ -1009,7 +1037,7 @@ System::crashMaster()
     // Whatever they described is rolled back by the restart replay.
     if (progress_log_) {
         const size_t lost =
-            progress_log_->dropPending(cluster_->storageNodeId());
+            progress_log_->dropPending(cluster_->storageNodeId()).size();
         if (lost > 0) {
             ++rstats_.rollbacks;
             rstats_.dropped_records += lost;

@@ -389,6 +389,9 @@ class System
     int pickReplacement(size_t crashed) const;
     void recoverInvocation(engine::Invocation& inv, size_t crashed,
                            int replacement);
+    /** GroupCommit worker crash: unwinds each live node whose NodeDone
+     *  fact died unflushed, so detection re-drives it. */
+    void rollBackDroppedFacts(const std::vector<storage::LogRecord>& dropped);
     void allocateStorePools(WorkflowState& state);
     void onSinkComplete(engine::Invocation& inv);
     void finalize(engine::Invocation& inv);

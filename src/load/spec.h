@@ -103,7 +103,7 @@ struct TenantSpec
  *       - name: diurnal
  *         arrival: {process: ramp, rate_per_min: 240,
  *                   base_rate_per_min: 10, period_ms: 20000}
- *       - name: replayed                 # trace replay (load/trace.h)
+ *       - name: replayed                 # trace replay
  *         arrival: {process: histogram, bin_ms: 60000,
  *                   rates_per_min: [12, 80, 240, 30], repeat: false}
  */

@@ -3,21 +3,16 @@
 namespace faasflow::scheduler {
 
 bool
-Placement::allConsumersLocal(const workflow::Dag& dag,
+Placement::allConsumersLocal(const workflow::DagIndex& index,
                              workflow::NodeId origin) const
 {
+    const auto& consumers = index.consumers[static_cast<size_t>(origin)];
     const int home = workerOf(origin);
-    bool has_consumer = false;
-    for (const auto& edge : dag.edges()) {
-        for (const auto& item : edge.payload) {
-            if (item.origin != origin)
-                continue;
-            has_consumer = true;
-            if (workerOf(edge.to) != home)
-                return false;
-        }
+    for (const workflow::NodeId to : consumers) {
+        if (workerOf(to) != home)
+            return false;
     }
-    return has_consumer;
+    return !consumers.empty();
 }
 
 std::vector<int>

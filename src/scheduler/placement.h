@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "workflow/analysis.h"
 #include "workflow/dag.h"
 
 namespace faasflow::scheduler {
@@ -44,12 +45,13 @@ struct Placement
     }
 
     /**
-     * True when every consumer of `origin`'s output data sits on the same
-     * worker as `origin` — the locality test FaaStore applies when it
-     * picks a store (§3.2). Consumers are found via edge payload origins,
-     * so data relayed through virtual fences is handled correctly.
+     * True when `origin` has a consumer and every one of them sits on the
+     * same worker as `origin` — the locality test FaaStore applies when
+     * it picks a store (§3.2). The index's consumers follow payload
+     * origins, so data relayed through virtual fences is handled
+     * correctly.
      */
-    bool allConsumersLocal(const workflow::Dag& dag,
+    bool allConsumersLocal(const workflow::DagIndex& index,
                            workflow::NodeId origin) const;
 
     /** Count of nodes placed on each of `worker_count` workers. */

@@ -171,16 +171,18 @@ ProgressLog::flushOrigin(net::NodeId from, bool by_window)
                          });
 }
 
-size_t
+std::vector<LogRecord>
 ProgressLog::dropPending(net::NodeId origin)
 {
+    std::vector<LogRecord> lost;
     const auto it = origins_.find(origin);
     if (it == origins_.end())
-        return 0;
-    const size_t lost = it->second.pending.size();
+        return lost;
+    for (PendingAppend& append : it->second.pending)
+        lost.push_back(std::move(append.record));
     it->second.pending.clear();
     it->second.flush_armed = false;
-    stats_.dropped_records += lost;
+    stats_.dropped_records += lost.size();
     return lost;
 }
 

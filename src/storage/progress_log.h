@@ -165,9 +165,9 @@ class ProgressLog
      * not-yet-flushed records — the uncommitted suffix a process crash
      * loses. Records already handed to the WAL (flushed batches whose
      * ack is still in flight) stay durable; only their callbacks go
-     * unanswered. Returns how many records were lost.
+     * unanswered. Returns the lost records, oldest first.
      */
-    size_t dropPending(net::NodeId origin);
+    std::vector<LogRecord> dropPending(net::NodeId origin);
 
     /** Flushes every origin's buffered records now (tests/shutdown). */
     void flush();

@@ -241,20 +241,11 @@ linearize(const Dag& dag)
         node.switch_branch = -1;
         mapped.push_back(chain.addNode(std::move(node)));
     }
-    // Chain edges carry the producer's output (first payload item it
-    // originates anywhere in the original DAG).
+    // Chain edges carry the producer's output.
+    const DagIndex index = indexDag(dag);
     for (size_t i = 0; i + 1 < order.size(); ++i) {
-        int64_t bytes = 0;
-        for (const auto& edge : dag.edges()) {
-            for (const auto& item : edge.payload) {
-                if (item.origin == order[i]) {
-                    bytes = item.bytes;
-                    break;
-                }
-            }
-            if (bytes > 0)
-                break;
-        }
+        const int64_t bytes =
+            index.output_bytes[static_cast<size_t>(order[i])];
         chain.addEdge(mapped[i], mapped[i + 1], bytes,
                       SimTime::seconds(static_cast<double>(bytes) / 50e6));
     }
@@ -281,6 +272,40 @@ sinkNodes(const Dag& dag)
             out.push_back(node.id);
     }
     return out;
+}
+
+DagIndex
+indexDag(const Dag& dag)
+{
+    const size_t n = dag.nodeCount();
+    DagIndex index;
+    index.output_bytes.assign(n, 0);
+    index.consumers.assign(n, {});
+    index.sharers.assign(n, 0);
+    for (const auto& edge : dag.edges()) {
+        for (const auto& item : edge.payload) {
+            auto& readers = index.consumers[static_cast<size_t>(item.origin)];
+            if (readers.empty())
+                index.output_bytes[static_cast<size_t>(item.origin)] =
+                    item.bytes;
+            readers.push_back(edge.to);
+        }
+    }
+    std::map<std::string, int> per_function;
+    for (const auto& node : dag.nodes()) {
+        if (node.isTask())
+            ++per_function[node.function];
+        if (node.switch_id >= 0) {
+            int& branches = index.switch_branches[node.switch_id];
+            branches = std::max(branches, node.switch_branch + 1);
+        }
+    }
+    for (const auto& node : dag.nodes()) {
+        if (node.isTask())
+            index.sharers[static_cast<size_t>(node.id)] =
+                per_function[node.function];
+    }
+    return index;
 }
 
 }  // namespace faasflow::workflow

@@ -1,6 +1,8 @@
 #ifndef FAASFLOW_WORKFLOW_ANALYSIS_H_
 #define FAASFLOW_WORKFLOW_ANALYSIS_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -54,6 +56,33 @@ SimTime criticalPathExecTime(const Dag& dag);
 /** All sources (in-degree 0) / sinks (out-degree 0). */
 std::vector<NodeId> sourceNodes(const Dag& dag);
 std::vector<NodeId> sinkNodes(const Dag& dag);
+
+/**
+ * The facts the run time asks of a deployed DAG's data and constructs,
+ * built once at deploy so that nothing scans the edge list per node.
+ * Payloads are fixed after deploy (repartitioning rewrites only edge
+ * weights), so the index holds for the workflow's lifetime.
+ */
+struct DagIndex
+{
+    /** Per node: the size of the object it saves — the first payload
+     *  item it originates, in edge order, or 0. The only output-size
+     *  rule. */
+    std::vector<int64_t> output_bytes;
+
+    /** Per origin: the target of every edge that carries one of its
+     *  items, fence relays included. */
+    std::vector<std::vector<NodeId>> consumers;
+
+    /** Per node: task nodes that run its function (0 for fences). */
+    std::vector<int> sharers;
+
+    /** Switch construct id -> branch count (max branch index + 1). */
+    std::map<int, int> switch_branches;
+};
+
+/** Builds `dag`'s index; System::deploy runs it once per workflow. */
+DagIndex indexDag(const Dag& dag);
 
 /** Structural summary of a workflow, for tooling and reports. */
 struct DagStats

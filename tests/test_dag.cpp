@@ -1,10 +1,17 @@
 /** @file Tests for the DAG data structure and graph analysis. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/units.h"
 #include "workflow/analysis.h"
 #include "workflow/dag.h"
+#include "workflow/wdl.h"
 
 namespace faasflow::workflow {
 namespace {
@@ -191,6 +198,94 @@ TEST(AnalysisTest, SourcesAndSinks)
     const Dag dag = diamond();
     EXPECT_EQ(sourceNodes(dag), (std::vector<NodeId>{0}));
     EXPECT_EQ(sinkNodes(dag), (std::vector<NodeId>{3}));
+}
+
+// The workflow of examples/load_scenario.yaml.
+constexpr const char* kThumbnailYaml = R"yaml(
+name: thumbnail-pipeline
+functions:
+  - name: fetch
+  - name: resize
+  - name: watermark
+  - name: store
+steps:
+  - task: fetch
+    output_mb: 4
+  - parallel:
+      branches:
+        - steps:
+            - task: resize
+              output_mb: 2
+        - steps:
+            - task: watermark
+              output_mb: 2
+  - task: store
+)yaml";
+
+TEST(AnalysisTest, IndexFollowsOutputsThroughFences)
+{
+    const auto wdl = parseWdlYaml(kThumbnailYaml);
+    ASSERT_TRUE(wdl.ok()) << wdl.error;
+    const Dag& dag = wdl.dag;
+    const DagIndex index = indexDag(dag);
+    const auto at = [&dag](const char* name) {
+        return static_cast<size_t>(dag.findByName(name));
+    };
+
+    // fetch's own edge into the parallel's start fence carries nothing:
+    // its item rides the fence's edges to both branches.
+    const NodeId fetch = dag.findByName("fetch");
+    ASSERT_EQ(dag.outEdges(fetch).size(), 1u);
+    EXPECT_TRUE(dag.edge(dag.outEdges(fetch)[0]).payload.empty());
+    EXPECT_EQ(index.output_bytes[at("fetch")], 4 * kMB);
+    std::vector<NodeId> readers = index.consumers[at("fetch")];
+    std::sort(readers.begin(), readers.end());
+    EXPECT_EQ(readers, (std::vector<NodeId>{dag.findByName("resize"),
+                                            dag.findByName("watermark")}));
+
+    EXPECT_EQ(index.output_bytes[at("resize")], 2 * kMB);
+    EXPECT_EQ(index.consumers[at("resize")],
+              std::vector<NodeId>{dag.findByName("store")});
+    EXPECT_EQ(index.output_bytes[at("store")], 0);
+    EXPECT_TRUE(index.consumers[at("store")].empty());
+
+    EXPECT_TRUE(index.switch_branches.empty());
+    for (const auto& node : dag.nodes()) {
+        EXPECT_EQ(index.sharers[static_cast<size_t>(node.id)],
+                  node.isTask() ? 1 : 0)
+            << node.name;
+    }
+}
+
+TEST(AnalysisTest, IndexCountsSharersAndSwitchBranches)
+{
+    const auto wdl = parseWdlYaml(R"yaml(
+name: router
+functions:
+  - name: classify
+  - name: fast
+  - name: slow
+steps:
+  - task: classify
+    output_mb: 1
+  - switch:
+      branches:
+        - - task: fast
+        - - task: slow
+        - - task: fast
+  - task: classify
+)yaml");
+    ASSERT_TRUE(wdl.ok()) << wdl.error;
+    const DagIndex index = indexDag(wdl.dag);
+
+    EXPECT_EQ(index.switch_branches, (std::map<int, int>{{0, 3}}));
+    const std::map<std::string, int> expected{
+        {"classify", 2}, {"fast", 2}, {"slow", 1}};
+    for (const auto& node : wdl.dag.nodes()) {
+        EXPECT_EQ(index.sharers[static_cast<size_t>(node.id)],
+                  node.isTask() ? expected.at(node.function) : 0)
+            << node.name;
+    }
 }
 
 TEST(AnalysisTest, SingleNodeDag)

@@ -18,7 +18,6 @@
 #include "load/driver.h"
 #include "load/saturation.h"
 #include "load/spec.h"
-#include "load/trace.h"
 #include "obs/attribution.h"
 #include "obs/slo.h"
 #include "obs/trace_model.h"
@@ -701,87 +700,7 @@ TEST(GoldenTest, SweepJsonByteIdenticalAcrossRunsAndThreadCounts)
     EXPECT_EQ(points->asArray().size(), 2u);  // admission off + on at 1.0x
 }
 
-// ---------------------------------------------------------- Trace import
-
-TEST(TraceTest, ParsesCsvSkipsHeaderMergesDuplicateApps)
-{
-    const TraceSpec trace = parseTraceCsv(
-        "app,m1,m2,m3,m4\n"
-        "# per-function rows; apps aggregate their functions\n"
-        "frontend,12,80,240,30\n"
-        "batcher,0,0,900\n"
-        "frontend,8,20,60,10\n",
-        SimTime::seconds(60));
-    ASSERT_TRUE(trace.ok()) << trace.error;
-    ASSERT_EQ(trace.apps.size(), 2u);
-    EXPECT_EQ(trace.apps[0].name, "frontend");
-    EXPECT_EQ(trace.apps[0].counts,
-              (std::vector<double>{20, 100, 300, 40}));
-    EXPECT_EQ(trace.apps[1].counts, (std::vector<double>{0, 0, 900}));
-    EXPECT_EQ(trace.span(), SimTime::seconds(240));
-}
-
-TEST(TraceTest, RejectsMalformedRows)
-{
-    EXPECT_FALSE(parseTraceCsv("").ok());
-    EXPECT_FALSE(parseTraceCsv("only_a_name\n").ok());
-    EXPECT_FALSE(parseTraceCsv("a,1\nb,not_a_number\n").ok());
-    EXPECT_FALSE(parseTraceCsv("a,1\nb,-3\n").ok());
-    EXPECT_FALSE(parseTraceCsv(",1,2\n").ok());
-    EXPECT_FALSE(parseTraceCsv("a,1\n", SimTime::zero()).ok());
-}
-
-TEST(TraceTest, ImportsToLoadSpecWithDerivedHorizonAndRates)
-{
-    const TraceSpec trace = parseTraceCsv(
-        "frontend,12,80,240,30\n"
-        "batcher,0,0,900\n"
-        "idle,0,0,0\n",
-        SimTime::seconds(60));
-    ASSERT_TRUE(trace.ok()) << trace.error;
-    const LoadSpec spec = traceToLoadSpec(trace);
-    ASSERT_TRUE(spec.ok()) << spec.error;
-    EXPECT_TRUE(spec.present);
-    EXPECT_EQ(spec.horizon, SimTime::seconds(240));
-    // The all-zero app contributes no tenant; busiest-first ordering.
-    ASSERT_EQ(spec.tenants.size(), 2u);
-    EXPECT_EQ(spec.tenants[0].name, "batcher");
-    EXPECT_EQ(spec.tenants[1].name, "frontend");
-    const ArrivalSpec& arrival = spec.tenants[1].arrival;
-    EXPECT_EQ(arrival.kind, ArrivalKind::Histogram);
-    EXPECT_EQ(arrival.bin, SimTime::seconds(60));
-    // One-minute bins: counts are already rates per minute.
-    EXPECT_EQ(arrival.bin_rates_per_min,
-              (std::vector<double>{12, 80, 240, 30}));
-    EXPECT_EQ(arrival.rate_per_min, 240.0);
-}
-
-TEST(TraceTest, ImportOptionsScaleSelectAndRepeat)
-{
-    const TraceSpec trace = parseTraceCsv(
-        "a,10,10\n"
-        "b,100,100\n"
-        "c,50,50\n",
-        SimTime::seconds(30));
-    ASSERT_TRUE(trace.ok()) << trace.error;
-    TraceImportOptions options;
-    options.rate_scale = 2.0;
-    options.max_tenants = 2;
-    options.repeat = true;
-    options.horizon = SimTime::seconds(90);
-    options.autoscale = true;
-    const LoadSpec spec = traceToLoadSpec(trace, options);
-    ASSERT_TRUE(spec.ok()) << spec.error;
-    ASSERT_EQ(spec.tenants.size(), 2u);
-    EXPECT_EQ(spec.tenants[0].name, "b");
-    EXPECT_EQ(spec.tenants[1].name, "c");
-    EXPECT_TRUE(spec.tenants[0].arrival.repeat);
-    EXPECT_TRUE(spec.autoscale);
-    EXPECT_EQ(spec.horizon, SimTime::seconds(90));
-    // 100 invocations per 30 s bin, scaled 2x -> 400/min.
-    EXPECT_EQ(spec.tenants[0].arrival.bin_rates_per_min,
-              (std::vector<double>{400, 400}));
-}
+// ---------------------------------------------------------- Trace replay
 
 TEST(TraceTest, HistogramArrivalParsesFromLoadBlock)
 {
@@ -825,11 +744,21 @@ TEST(TraceTest, HistogramArrivalParsesFromLoadBlock)
 
 TEST(TraceTest, TraceReplayDrivesTheSystemEndToEnd)
 {
-    const TraceSpec trace = parseTraceCsv("replay,40,0,40\n"
-                                          "burst,0,80,0\n",
-                                          SimTime::seconds(2));
-    ASSERT_TRUE(trace.ok()) << trace.error;
-    const LoadSpec spec = traceToLoadSpec(trace);
+    // Two replayed histograms over 2 s bins: 40 and 80 arrivals per bin.
+    const LoadSpec spec = parseLoadSpec(yaml::parseOrDie(
+        "load:\n"
+        "  horizon_ms: 6000\n"
+        "  tenants:\n"
+        "    - name: burst\n"
+        "      arrival:\n"
+        "        process: histogram\n"
+        "        bin_ms: 2000\n"
+        "        rates_per_min: [0, 2400, 0]\n"
+        "    - name: replay\n"
+        "      arrival:\n"
+        "        process: histogram\n"
+        "        bin_ms: 2000\n"
+        "        rates_per_min: [1200, 0, 1200]\n"));
     ASSERT_TRUE(spec.ok()) << spec.error;
 
     auto runOnce = [&] {

@@ -12,6 +12,7 @@
 #include "scheduler/feedback.h"
 #include "scheduler/graph_scheduler.h"
 #include "scheduler/partition.h"
+#include "workflow/analysis.h"
 #include "workflow/dagen.h"
 #include "workflow/wdl.h"
 
@@ -283,8 +284,9 @@ TEST(PlacementTest, AllConsumersLocal)
         w = 1;
     p.worker_of[static_cast<size_t>(a)] = 0;
     p.worker_of[static_cast<size_t>(b)] = 0;
-    EXPECT_TRUE(p.allConsumersLocal(wdl.dag, a));
-    EXPECT_FALSE(p.allConsumersLocal(wdl.dag, b));  // c is remote
+    const workflow::DagIndex index = workflow::indexDag(wdl.dag);
+    EXPECT_TRUE(p.allConsumersLocal(index, a));
+    EXPECT_FALSE(p.allConsumersLocal(index, b));  // c is remote
 }
 
 TEST(PlacementTest, NodesPerWorkerCounts)

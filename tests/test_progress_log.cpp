@@ -291,7 +291,9 @@ TEST(ProgressLogTest, DropPendingLosesOnlyTheUnflushedSuffix)
     EXPECT_EQ(f.log.pendingRecords(f.storage), 1u);
     // Crash before the 5th record's window expires: the flushed batch
     // is already on the WAL and stays durable; only the suffix is lost.
-    EXPECT_EQ(f.log.dropPending(f.storage), 1u);
+    const auto lost = f.log.dropPending(f.storage);
+    ASSERT_EQ(lost.size(), 1u);
+    EXPECT_EQ(lost[0].node, 4);
     EXPECT_EQ(f.log.pendingRecords(f.storage), 0u);
     f.sim.run();
     ASSERT_EQ(elapsed.size(), 4u);  // the dropped record never acked

@@ -7,6 +7,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -432,6 +433,59 @@ TEST(RecoveryTest, LinkOutageDuringRedispatchStillMatchesGolden)
     EXPECT_EQ(r.duplicate_executions, 0u);
 }
 
+TEST(RecoveryTest, GroupCommitCrashRollsBackUnflushedCompletionFacts)
+{
+    // Under GroupCommit a node's successors fire only at its NodeDone
+    // batch ack, so a crash that drops the worker's unflushed batch must
+    // roll the node back for re-drive, even when its output reached the
+    // remote store. One task per worker sends every output remote, which
+    // leaves the dropped fact as the only loss; a 250 ms batch window
+    // keeps facts buffered long enough for the sweep of crash instants
+    // to hit them.
+    size_t delivered = 0;
+    size_t timed_out = 0;
+    uint64_t rolled_back = 0;
+    for (int k = 0; k < 120; ++k) {
+        SystemConfig config = SystemConfig::faasflowFaastore();
+        config.seed = 7;
+        config.durable_log = true;
+        config.durability_mode = engine::DurabilityMode::GroupCommit;
+        config.progress_log.batch_window = SimTime::millis(250);
+        config.invocation_timeout = SimTime::seconds(20);
+        auto wdl = workflow::parseWdlYaml(kChainYaml);
+        ASSERT_TRUE(wdl.ok()) << wdl.error;
+
+        System system(config);
+        system.registerFunctions(wdl.functions);
+        scheduler::Placement one_per_worker;
+        for (int i = 0; i < static_cast<int>(wdl.dag.nodeCount()); ++i) {
+            one_per_worker.worker_of.push_back(i);
+            one_per_worker.storage_mem.push_back(false);
+            one_per_worker.groups.push_back({i});
+            one_per_worker.group_worker.push_back(i);
+        }
+        const std::string name =
+            system.deploy(std::move(wdl.dag), std::move(one_per_worker));
+
+        sim::FaultSchedule faults;
+        faults.addWorkerCrash(0, SimTime::millis(600 + 5 * k),
+                              SimTime::millis(400));
+        system.installFaults(faults);
+        for (int i = 0; i < 4; ++i) {
+            system.invoke(name, [&](const InvocationRecord& r) {
+                ++delivered;
+                if (r.timed_out)
+                    ++timed_out;
+            });
+        }
+        system.run();
+        rolled_back += system.recoveryStats().rolled_back_nodes;
+    }
+    EXPECT_EQ(delivered, 480u);
+    EXPECT_EQ(timed_out, 0u);
+    EXPECT_GT(rolled_back, 0u);
+}
+
 /** Random nested workflow for the lostNodeSet property test: enough
  *  construct variety to produce payload-through-fence shapes. */
 std::string
@@ -490,6 +544,64 @@ randomRecoveryYaml(Rng& rng, const std::string& name)
     return yaml + functions + steps;
 }
 
+/** The re-run set as a plain fixpoint, the executable definition
+ *  lostNodeSet's single worklist pass must reproduce exactly: seed with
+ *  unfinished nodes on the dead worker, then pull in done producers
+ *  whose (lost) local output some re-run or not-done consumer still has
+ *  to read, and done virtual fences gating a re-run node, until nothing
+ *  changes. */
+std::vector<uint8_t>
+referenceLostNodeSet(const engine::Invocation& inv, int crashed_worker)
+{
+    const auto& dag = inv.wf->dag;
+    std::vector<uint8_t> rerun(dag.nodeCount(), 0);
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (const auto& node : dag.nodes()) {
+            const size_t idx = static_cast<size_t>(node.id);
+            if (rerun[idx] ||
+                inv.placement->workerOf(node.id) != crashed_worker) {
+                continue;
+            }
+            if (!inv.node_done[idx]) {
+                rerun[idx] = 1;
+                changed = true;
+                continue;
+            }
+            if (inv.node_output_worker[idx] != crashed_worker)
+                continue;
+            bool needed = false;
+            for (const auto& edge : dag.edges()) {
+                for (const auto& item : edge.payload) {
+                    const size_t to = static_cast<size_t>(edge.to);
+                    if (item.origin == node.id &&
+                        (rerun[to] || !inv.node_done[to])) {
+                        needed = true;
+                    }
+                }
+            }
+            if (needed) {
+                rerun[idx] = 1;
+                changed = true;
+            }
+        }
+        for (const auto& node : dag.nodes()) {
+            const size_t idx = static_cast<size_t>(node.id);
+            if (rerun[idx] || !node.isVirtual() || !inv.node_done[idx])
+                continue;
+            for (const size_t e : dag.outEdges(node.id)) {
+                if (rerun[static_cast<size_t>(dag.edge(e).to)]) {
+                    rerun[idx] = 1;
+                    changed = true;
+                    break;
+                }
+            }
+        }
+    }
+    return rerun;
+}
+
 class LostNodeSetPropertyTest : public ::testing::TestWithParam<uint64_t>
 {
 };
@@ -514,6 +626,7 @@ TEST_P(LostNodeSetPropertyTest, ClosureIsSoundCompleteAndMinimal)
         engine::DeployedWorkflow wf;
         wf.name = "prop";
         wf.dag = dag;
+        wf.index = workflow::indexDag(dag);
         wf.placement =
             std::make_shared<const scheduler::Placement>(std::move(pl));
 
@@ -540,7 +653,7 @@ TEST_P(LostNodeSetPropertyTest, ClosureIsSoundCompleteAndMinimal)
             if (preds_done && rng.uniform() < 0.7) {
                 inv.node_done[i] = 1;
                 if (node.isTask() &&
-                    wf.placement->allConsumersLocal(dag, node.id) &&
+                    wf.placement->allConsumersLocal(wf.index, node.id) &&
                     rng.uniform() < 0.6) {
                     inv.node_output_worker[i] =
                         wf.placement->workerOf(node.id);
@@ -550,6 +663,7 @@ TEST_P(LostNodeSetPropertyTest, ClosureIsSoundCompleteAndMinimal)
 
         const int crashed = static_cast<int>(rng.uniformInt(0, kWorkers - 1));
         const auto rerun = engine::lostNodeSet(inv, crashed);
+        EXPECT_EQ(rerun, referenceLostNodeSet(inv, crashed));
 
         for (const auto& node : dag.nodes()) {
             const size_t i = static_cast<size_t>(node.id);

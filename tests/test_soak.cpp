@@ -15,9 +15,9 @@
 #include "load/autoscaler.h"
 #include "load/driver.h"
 #include "load/spec.h"
-#include "load/trace.h"
 #include "sim/fault_schedule.h"
 #include "workflow/dagen.h"
+#include "yamllite/yaml.h"
 
 namespace faasflow::load {
 namespace {
@@ -197,7 +197,7 @@ struct MontageOutcome
 
 /**
  * The examples/montage_2k.yaml workload (generated here from the same
- * pinned GenSpec) driven by an Azure-style invocation-count trace
+ * pinned GenSpec) driven by Azure-style per-minute invocation counts
  * through the Histogram arrival process, with the light fault preset
  * live. 2001 nodes per invocation exercise partitioning, FaaStore
  * quota reclamation and worker-crash recovery at a depth the paper
@@ -236,20 +236,28 @@ runMontageTraceSoak()
     system.run();
     system.metrics().clear();
 
-    // Two mosaic tenants replayed from a per-minute invocation trace:
-    // a steady interactive stream and a bursty batch backfill.
-    const TraceSpec trace = parseTraceCsv(
-        "app,m1,m2,m3,m4,m5,m6,m7,m8\n"
-        "mosaic-hot,1,1,2,1,0,1,2,1\n"
-        "mosaic-batch,0,0,4,0,0,3,0,0\n");
-    EXPECT_TRUE(trace.ok()) << trace.error;
-    LoadSpec spec = traceToLoadSpec(trace);
-    EXPECT_TRUE(spec.present);
+    // Two mosaic tenants replayed from per-minute invocation counts: a
+    // steady interactive stream and a bursty batch backfill.
+    LoadSpec spec = parseLoadSpec(yaml::parseOrDie(
+        "load:\n"
+        "  horizon_ms: 480000\n"
+        "  tenants:\n"
+        "    - name: mosaic-hot\n"
+        "      arrival:\n"
+        "        process: histogram\n"
+        "        bin_ms: 60000\n"
+        "        rates_per_min: [1, 1, 2, 1, 0, 1, 2, 1]\n"
+        "    - name: mosaic-batch\n"
+        "      arrival:\n"
+        "        process: histogram\n"
+        "        bin_ms: 60000\n"
+        "        rates_per_min: [0, 0, 4, 0, 0, 3, 0, 0]\n"));
+    EXPECT_TRUE(spec.ok()) << spec.error;
 
     const SimTime t0 = system.simulator().now();
     const auto drawn = sim::FaultSchedule::random(
         kSeed + 2, static_cast<int>(system.cluster().workerCount()),
-        trace.span(), sim::RandomFaultParams::light());
+        spec.horizon, sim::RandomFaultParams::light());
     sim::FaultSchedule shifted;
     for (const sim::FaultEvent& ev : drawn.events()) {
         const SimTime at = t0 + ev.at;

@@ -3,6 +3,7 @@
  *  and component-overhead accounting. */
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "common/units.h"
 #include "faasflow/client.h"
 #include "faasflow/system.h"
@@ -322,6 +323,48 @@ TEST(SystemTest, ContentionPairsNeverShareAWorkerAfterRepartition)
     free_system.run();
     free_system.repartition(name2);
     EXPECT_EQ(free_system.deployed(name2).placement->groups.size(), 1u);
+}
+
+TEST(SystemTest, OutputDigestFoldsOutputsRelayedThroughFences)
+{
+    // fetch feeds a parallel construct, so its item rides the fence's
+    // edges rather than its own out-edge; the digest must still fold
+    // the size of the object it saved.
+    const auto digestOf = [](int fetch_mb) {
+        auto wdl = workflow::parseWdlYaml(strFormat(R"yaml(
+name: thumbnail-pipeline
+functions:
+  - name: fetch
+  - name: resize
+  - name: watermark
+  - name: store
+steps:
+  - task: fetch
+    output_mb: %d
+  - parallel:
+      branches:
+        - steps:
+            - task: resize
+              output_mb: 2
+        - steps:
+            - task: watermark
+              output_mb: 2
+  - task: store
+)yaml",
+                                                    fetch_mb));
+        EXPECT_TRUE(wdl.ok()) << wdl.error;
+        System system(SystemConfig::faasflowFaastore());
+        system.registerFunctions(wdl.functions);
+        const std::string name = system.deploy(std::move(wdl.dag));
+        InvocationRecord record;
+        system.invoke(name, [&](const InvocationRecord& r) { record = r; });
+        system.run();
+        EXPECT_FALSE(record.timed_out);
+        return record.output_digest;
+    };
+    // Every node is done in each run; only fetch's output size differs.
+    EXPECT_EQ(digestOf(4), digestOf(4));
+    EXPECT_NE(digestOf(4), digestOf(8));
 }
 
 TEST(SystemTest, UnknownWorkflowFatals)
