@@ -2,6 +2,12 @@
  *  contention, control messages, bandwidth changes). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/units.h"
@@ -404,6 +410,269 @@ TEST_P(NetworkOracleTest, IncrementalRatesMatchFullRecomputeUnderChurn)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NetworkOracleTest,
                          ::testing::Values(7, 42, 1337, 31415, 271828));
+
+/**
+ * A seeded network workload, generated up front so every allocator
+ * implementation replays the identical schedule of flow starts, NIC
+ * reshapes and link outages.
+ *
+ * Star: a storage hub (node 0) at 50 MB/s each way and 7 workers at
+ * 1.25 GB/s, 3,000 flows, half of them puts to the hub and half gets
+ * from it. General: 5-8 nodes with random NICs and 200 flows between
+ * random pairs. In both, every fourth flow is 4 MiB and every fifth
+ * starts at one shared instant, so a (src, dst) pair holds many equal
+ * flows whose ETAs tie. Faults add 8 NIC reshapes and 3 outages; a
+ * star's first outage takes the hub down.
+ */
+struct Scenario
+{
+    struct Nic
+    {
+        double egress;
+        double ingress;
+    };
+    struct Transfer
+    {
+        NodeId src;
+        NodeId dst;
+        int64_t bytes;
+        SimTime start;
+    };
+    struct Reshape
+    {
+        NodeId node;
+        double egress;
+        double ingress;
+        SimTime at;
+    };
+    struct Outage
+    {
+        NodeId node;
+        SimTime down;
+        SimTime up;
+    };
+    std::vector<Nic> nodes;
+    std::vector<Transfer> flows;
+    std::vector<Reshape> reshapes;
+    std::vector<Outage> outages;
+    /** Start times are drawn from [0, horizon). */
+    double horizon_s = 0.0;
+};
+
+Scenario
+makeScenario(uint64_t seed, bool star, bool faults)
+{
+    Rng rng(seed);
+    Scenario s;
+    int flows;
+    if (star) {
+        s.nodes.push_back({50e6, 50e6});
+        for (int i = 0; i < 7; ++i)
+            s.nodes.push_back({1.25e9, 1.25e9});
+        flows = 3000;
+        s.horizon_s = 10.0;
+    } else {
+        const int nodes = 5 + static_cast<int>(rng.uniformInt(0, 3));
+        for (int i = 0; i < nodes; ++i) {
+            s.nodes.push_back(
+                {rng.uniform(20e6, 200e6), rng.uniform(20e6, 200e6)});
+        }
+        flows = 200;
+        s.horizon_s = 2.0;
+    }
+    const auto pick = [&](int lo) {
+        return static_cast<NodeId>(
+            rng.uniformInt(lo, static_cast<int64_t>(s.nodes.size()) - 1));
+    };
+    const SimTime burst = SimTime::seconds(s.horizon_s / 4);
+    for (int i = 0; i < flows; ++i) {
+        NodeId src;
+        NodeId dst;
+        if (star) {
+            const NodeId worker = pick(1);
+            const bool put = i % 2 == 0;
+            src = put ? worker : 0;
+            dst = put ? 0 : worker;
+        } else {
+            src = pick(0);
+            do {
+                dst = pick(0);
+            } while (dst == src);
+        }
+        const int64_t bytes =
+            i % 4 == 0 ? 4 * kMiB : rng.uniformInt(64, 2048) * kKiB;
+        const SimTime start = i % 5 == 0
+                                  ? burst
+                                  : SimTime::seconds(
+                                        rng.uniform(0.0, s.horizon_s));
+        s.flows.push_back({src, dst, bytes, start});
+    }
+    if (!faults)
+        return s;
+    for (int i = 0; i < 8; ++i) {
+        const NodeId node = pick(0);
+        const Scenario::Nic& nic = s.nodes[static_cast<size_t>(node)];
+        s.reshapes.push_back({node, nic.egress * rng.uniform(0.5, 2.0),
+                              nic.ingress * rng.uniform(0.5, 2.0),
+                              SimTime::seconds(
+                                  rng.uniform(0.1, s.horizon_s))});
+    }
+    for (int i = 0; i < 3; ++i) {
+        const NodeId node = star && i == 0 ? 0 : pick(star ? 1 : 0);
+        const double down = rng.uniform(0.2, s.horizon_s * 0.75);
+        s.outages.push_back({node, SimTime::seconds(down),
+                             SimTime::seconds(down +
+                                              rng.uniform(0.05, 0.5))});
+    }
+    return s;
+}
+
+/** What one replay of a Scenario produced. */
+struct ScenarioRun
+{
+    /** Each completion's flow index, µs and elapsed µs, folded in
+     *  callback order. */
+    uint64_t digest = kFnv1aBasis;
+    uint64_t events = 0;
+    size_t completed = 0;
+    size_t peak_active = 0;
+    int64_t bytes_sent = 0;
+    int64_t bytes_received = 0;
+};
+
+/** Replays `s` to completion. `on_checkpoint` runs at each of
+ *  `checkpoints`, in the middle of the churn. */
+ScenarioRun
+runScenario(const Scenario& s, bool verify_rates,
+            const std::vector<SimTime>& checkpoints = {},
+            const std::function<void(Network&)>& on_checkpoint = nullptr)
+{
+    sim::Simulator sim;
+    Network::Config config;
+    config.verify_rates = verify_rates;
+    Network net(sim, config);
+    for (size_t i = 0; i < s.nodes.size(); ++i) {
+        net.addNode(strFormat("n%zu", i), s.nodes[i].egress,
+                    s.nodes[i].ingress);
+    }
+    ScenarioRun run;
+    for (size_t i = 0; i < s.flows.size(); ++i) {
+        const Scenario::Transfer& t = s.flows[i];
+        sim.scheduleAt(t.start, [&, i, t] {
+            net.startFlow(t.src, t.dst, t.bytes, [&, i](SimTime elapsed) {
+                run.digest = fnv1aFoldWord(run.digest, i);
+                run.digest = fnv1aFoldWord(
+                    run.digest, static_cast<uint64_t>(sim.now().micros()));
+                run.digest = fnv1aFoldWord(
+                    run.digest, static_cast<uint64_t>(elapsed.micros()));
+                ++run.completed;
+            });
+            run.peak_active = std::max(run.peak_active, net.activeFlows());
+        });
+    }
+    for (const Scenario::Reshape& r : s.reshapes) {
+        sim.scheduleAt(r.at, [&net, r] {
+            net.setNicBandwidth(r.node, r.egress, r.ingress);
+        });
+    }
+    for (const Scenario::Outage& o : s.outages) {
+        sim.scheduleAt(o.down, [&net, o] { net.setLinkUp(o.node, false); });
+        sim.scheduleAt(o.up, [&net, o] { net.setLinkUp(o.node, true); });
+    }
+    for (const SimTime at : checkpoints)
+        sim.scheduleAt(at, [&net, &on_checkpoint] { on_checkpoint(net); });
+    run.events = sim.run();
+    for (size_t i = 0; i < s.nodes.size(); ++i) {
+        run.bytes_sent += net.stats(static_cast<NodeId>(i)).bytes_sent;
+        run.bytes_received +=
+            net.stats(static_cast<NodeId>(i)).bytes_received;
+    }
+    return run;
+}
+
+int64_t
+totalBytes(const Scenario& s)
+{
+    int64_t total = 0;
+    for (const Scenario::Transfer& t : s.flows)
+        total += t.bytes;
+    return total;
+}
+
+/** One pinned scenario: its completion digest and fired-event count. */
+struct GoldenCase
+{
+    uint64_t seed;
+    bool star;
+    bool faults;
+    uint64_t digest;
+    uint64_t events;
+};
+
+// gtest would otherwise print a GoldenCase as its raw bytes.
+void
+PrintTo(const GoldenCase& c, std::ostream* os)
+{
+    *os << (c.star ? "star" : "general") << (c.faults ? "_faults" : "_clean")
+        << "_seed" << c.seed;
+}
+
+std::string
+goldenName(const ::testing::TestParamInfo<GoldenCase>& info)
+{
+    std::ostringstream os;
+    PrintTo(info.param, &os);
+    return os.str();
+}
+
+/**
+ * Pins the allocator's completion order and timing bit for bit: any
+ * reordering of its floating-point work moves a completion by a µs, and
+ * any change to its wakeup pattern moves the fired-event count. Rates
+ * are the oracle tests' business, so the cross-check stays off.
+ */
+class NetworkGoldenTest : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+TEST_P(NetworkGoldenTest, CompletionsMatchPins)
+{
+    const GoldenCase& c = GetParam();
+    const Scenario s = makeScenario(c.seed, c.star, c.faults);
+    const ScenarioRun run = runScenario(s, /*verify_rates=*/false);
+    EXPECT_EQ(run.completed, s.flows.size());
+    EXPECT_EQ(run.bytes_received, totalBytes(s));
+    EXPECT_EQ(run.digest, c.digest);
+    EXPECT_EQ(run.events, c.events);
+}
+
+// Recorded from the allocator that walked and filled flow by flow; any
+// later allocator must reproduce them exactly.
+const GoldenCase kGoldenCases[] = {
+    {1, true, false, 0x879b3a0b8f5297c4ULL, 5832},
+    {1, true, true, 0x231bfd7dc283a877ULL, 5832},
+    {1, false, false, 0x81c5071f0e72fc90ULL, 395},
+    {1, false, true, 0xd0c960e59de1f528ULL, 402},
+    {2, true, false, 0x41e931cdd3ca6a2eULL, 5817},
+    {2, true, true, 0xbc363977bdbe9e36ULL, 5815},
+    {2, false, false, 0xf11fdfafc867a5cfULL, 395},
+    {2, false, true, 0x0cd5616cceb244caULL, 408},
+    {3, true, false, 0x2691e549df8f045dULL, 5825},
+    {3, true, true, 0x286f4fbe4e3ec4dcULL, 5830},
+    {3, false, false, 0x2d83fa7b259281c0ULL, 397},
+    {3, false, true, 0x67084c5b4e7c50c0ULL, 414},
+    {4, true, false, 0x9bbcd3821a22e481ULL, 5823},
+    {4, true, true, 0x6be178bee8a5b496ULL, 5817},
+    {4, false, false, 0x92b97828fb3ea245ULL, 398},
+    {4, false, true, 0x184cf7f8398d9056ULL, 413},
+    {5, true, false, 0xb465ac4e27768b5cULL, 5823},
+    {5, true, true, 0x141baa069c37cb02ULL, 5839},
+    {5, false, false, 0x69d6bab60211a7c7ULL, 398},
+    {5, false, true, 0x5da5dfd434685e26ULL, 413},
+};
+
+INSTANTIATE_TEST_SUITE_P(Pins, NetworkGoldenTest,
+                         ::testing::ValuesIn(kGoldenCases), goldenName);
 
 }  // namespace
 }  // namespace faasflow::net
