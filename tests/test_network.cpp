@@ -674,5 +674,78 @@ const GoldenCase kGoldenCases[] = {
 INSTANTIATE_TEST_SUITE_P(Pins, NetworkGoldenTest,
                          ::testing::ValuesIn(kGoldenCases), goldenName);
 
+/**
+ * The oracle under churn with large pair classes: the star scenario
+ * keeps more than a thousand flows in flight over 14 (src, dst) pairs,
+ * while NIC reshapes and outages at the hub and at a worker move every
+ * rate. The incremental rates must match a from-scratch, flow-by-flow
+ * recompute bitwise at 40 checkpoints across the busy window.
+ */
+TEST(NetworkOracleTest, LargeClassesMatchFullRecomputeUnderStarChurn)
+{
+    const Scenario s = makeScenario(11, /*star=*/true, /*faults=*/true);
+    ASSERT_EQ(s.outages.front().node, 0);  // the hub
+    Rng rng(12);
+    std::vector<SimTime> checkpoints;
+    for (int i = 0; i < 40; ++i)
+        checkpoints.push_back(SimTime::seconds(rng.uniform(0.0, 20.0)));
+    int mismatches = 0;
+    const ScenarioRun run =
+        runScenario(s, /*verify_rates=*/false, checkpoints,
+                    [&](Network& net) {
+                        if (!net.ratesMatchFullRecompute())
+                            ++mismatches;
+                    });
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_GE(run.peak_active, 1000u);
+    EXPECT_EQ(run.completed, s.flows.size());
+    EXPECT_EQ(run.bytes_sent, totalBytes(s));
+    EXPECT_EQ(run.bytes_received, totalBytes(s));
+}
+
+/**
+ * nodeActiveFlows is the storage queue gauge: it counts every flow at
+ * both of its endpoints, stalled ones included, and drains to zero.
+ * flowRate reads 0 for a stalled flow and for a finished one.
+ */
+TEST(NetworkTest, NodeFlowCountsIncludeStalledFlowsAndDrain)
+{
+    Fixture f;
+    const NodeId a = f.net.addNode("a", 100e6, 100e6);
+    const NodeId b = f.net.addNode("b", 100e6, 100e6);
+    const NodeId c = f.net.addNode("c", 100e6, 100e6);
+    const FlowId ab1 = f.net.startFlow(a, b, 10 * kMB, nullptr);
+    const FlowId ab2 = f.net.startFlow(a, b, 10 * kMB, nullptr);
+    const FlowId cb = f.net.startFlow(c, b, 10 * kMB, nullptr);
+    EXPECT_EQ(f.net.nodeActiveFlows(a), 2u);
+    EXPECT_EQ(f.net.nodeActiveFlows(b), 3u);
+    EXPECT_EQ(f.net.nodeActiveFlows(c), 1u);
+    EXPECT_DOUBLE_EQ(f.net.flowRate(ab1), 100e6 / 3);
+
+    f.sim.runUntil(SimTime::millis(30));
+    f.net.setLinkUp(a, false);
+    // a's flows stall but stay counted; c->b inherits b's whole ingress.
+    EXPECT_EQ(f.net.flowRate(ab1), 0.0);
+    EXPECT_EQ(f.net.flowRate(ab2), 0.0);
+    EXPECT_DOUBLE_EQ(f.net.flowRate(cb), 100e6);
+    EXPECT_EQ(f.net.nodeActiveFlows(a), 2u);
+    EXPECT_EQ(f.net.nodeActiveFlows(b), 3u);
+
+    // A flow started during the outage is born stalled and counted.
+    const FlowId ac = f.net.startFlow(a, c, 10 * kMB, nullptr);
+    EXPECT_EQ(f.net.flowRate(ac), 0.0);
+    EXPECT_EQ(f.net.nodeActiveFlows(a), 3u);
+    EXPECT_EQ(f.net.nodeActiveFlows(c), 2u);
+    EXPECT_EQ(f.net.activeFlows(), 4u);
+
+    f.sim.scheduleAt(SimTime::millis(200), [&] { f.net.setLinkUp(a, true); });
+    f.sim.run();
+    EXPECT_EQ(f.net.activeFlows(), 0u);
+    for (const NodeId n : {a, b, c})
+        EXPECT_EQ(f.net.nodeActiveFlows(n), 0u);
+    for (const FlowId id : {ab1, ab2, cb, ac})
+        EXPECT_EQ(f.net.flowRate(id), 0.0);
+}
+
 }  // namespace
 }  // namespace faasflow::net
