@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -93,27 +94,28 @@ Network::setLinkUp(NodeId id, bool up)
     }
 
     if (!up) {
-        // Stall every active flow crossing the node: charge progress at
-        // the old rate first, then pin to zero. The surviving flows in
-        // the stalled flows' components inherit the freed bandwidth.
+        // Stall every class crossing the node: charge progress at the old
+        // rate first, then pin to zero. The surviving classes in the
+        // stalled classes' components inherit the freed bandwidth.
         std::vector<int> seeds;
-        const auto stallList = [&](std::vector<Flow*>& list) {
-            for (Flow* flow : list) {
-                if (flow->stalled)
+        const auto stallList = [&](const std::vector<uint32_t>& list) {
+            for (const uint32_t cls : list) {
+                PairClass& c = classes_[cls];
+                if (c.stalled)
                     continue;
-                advanceFlow(*flow, now);
-                flow->rate = 0.0;
-                flow->stalled = true;
-                if (flow->eta.valid()) {
-                    sim_.cancel(flow->eta);
-                    flow->eta = {};
+                advanceMembers(c, now.micros());
+                c.rate = 0.0;
+                c.stalled = true;
+                if (c.wake.valid()) {
+                    sim_.cancel(c.wake);
+                    c.wake = {};
                 }
-                seeds.push_back(egressNic(flow->src));
-                seeds.push_back(ingressNic(flow->dst));
+                seeds.push_back(egressNic(c.src));
+                seeds.push_back(ingressNic(c.dst));
             }
         };
-        stallList(node.out_flows);
-        stallList(node.in_flows);
+        stallList(node.out_classes);
+        stallList(node.in_classes);
         ++mark_epoch_;
         for (const int seed : seeds) {
             if (nicMark(seed) != mark_epoch_)
@@ -123,21 +125,20 @@ Network::setLinkUp(NodeId id, bool up)
         return;
     }
 
-    // Link healed: revive flows whose *both* endpoints are up again; they
-    // resume where they left off.
-    const auto reviveList = [&](std::vector<Flow*>& list) {
-        for (Flow* flow : list) {
-            if (!flow->stalled)
-                continue;
-            if (nodes_[static_cast<size_t>(flow->src)].link_up &&
-                nodes_[static_cast<size_t>(flow->dst)].link_up) {
-                flow->stalled = false;
-                flow->last_touch = now;
+    // Link healed: revive classes whose *both* endpoints are up again;
+    // their flows resume where they left off.
+    const auto reviveList = [&](const std::vector<uint32_t>& list) {
+        for (const uint32_t cls : list) {
+            PairClass& c = classes_[cls];
+            if (c.stalled && nodes_[static_cast<size_t>(c.src)].link_up &&
+                nodes_[static_cast<size_t>(c.dst)].link_up) {
+                c.stalled = false;
+                std::fill(c.touch_us.begin(), c.touch_us.end(), now.micros());
             }
         }
     };
-    reviveList(node.out_flows);
-    reviveList(node.in_flows);
+    reviveList(node.out_classes);
+    reviveList(node.in_classes);
     recomputeAffected(egressNic(id), ingressNic(id));
 }
 
@@ -222,28 +223,20 @@ Network::startFlow(NodeId src, NodeId dst, int64_t bytes,
         slot = flow_free_.back();
         flow_free_.pop_back();
     } else {
-        if (flow_slot_count_ ==
-            flow_chunks_.size() * static_cast<size_t>(kFlowChunkSize)) {
-            flow_chunks_.push_back(std::make_unique<Flow[]>(kFlowChunkSize));
-        }
-        slot = flow_slot_count_++;
+        slot = static_cast<uint32_t>(flows_.size());
+        flows_.emplace_back();
     }
+    const uint32_t cls = classOf(src, dst);
+    PairClass& c = classes_[cls];
     const SimTime now = sim_.now();
-    Flow& flow = flowAt(slot);
+    Flow& flow = flows_[slot];
     flow.id = FlowId{(static_cast<uint64_t>(slot) << 32) | flow.gen};
-    flow.seq = next_flow_seq_++;
-    flow.src = src;
-    flow.dst = dst;
-    flow.remaining = static_cast<double>(bytes);
-    flow.bytes = bytes;
-    flow.rate = 0.0;
-    flow.start = now;
-    flow.last_touch = now;
-    flow.stalled = false;
     flow.active = true;
-    flow.mark = 0;
-    flow.eta = {};
-    flow.eta_when_us = 0;
+    flow.cls = cls;
+    flow.member = static_cast<uint32_t>(c.size());
+    flow.seq = next_flow_seq_++;
+    flow.bytes = bytes;
+    flow.start = now;
     flow.on_complete = std::move(on_complete);
     flow.trace_span = 0;
     if (trace_ && trace_->enabled()) {
@@ -253,24 +246,42 @@ Network::startFlow(NodeId src, NodeId dst, int64_t bytes,
             strFormat("%lld B", static_cast<long long>(bytes)));
     }
     ++active_flow_count_;
-    linkFlow(&flow);
+    ++sn.out_flows;
+    ++dn.in_flows;
+    if (c.size() == 0) {
+        // The pair becomes active: it joins both NIC lists and, like a
+        // new flow, starts from rate 0. It is stalled exactly while an
+        // endpoint's link is down.
+        c.out_pos = static_cast<uint32_t>(sn.out_classes.size());
+        sn.out_classes.push_back(cls);
+        c.in_pos = static_cast<uint32_t>(dn.in_classes.size());
+        dn.in_classes.push_back(cls);
+        c.rate = 0.0;
+        c.settled = 0;
+        c.stalled = !sn.link_up || !dn.link_up;
+    }
+    c.remaining.push_back(static_cast<double>(bytes));
+    c.touch_us.push_back(now.micros());
+    c.eta_us.push_back(0);
+    c.slot.push_back(slot);
     const FlowId id = flow.id;
 
-    if (!sn.link_up || !dn.link_up) {
+    if (c.stalled) {
         // Born stalled: takes no share, so no other rate can change.
-        flow.stalled = true;
         maybeVerify();
         return id;
     }
 
-    if (sn.out_flows.size() == 1 && dn.in_flows.size() == 1) {
+    if (sn.out_flows == 1 && dn.in_flows == 1) {
         // Fast path: an uncontended egress/ingress NIC pair forms its
         // own component — every other allocation is untouched by
         // construction.
-        flow.rate = std::min(sn.egress_bw, dn.ingress_bw);
-        flow.eta_when_us = etaUsOf(flow.remaining, flow.rate, now.micros());
-        flow.eta = sim_.scheduleAt(SimTime::micros(flow.eta_when_us),
-                                   [this, fid = id.value] { onFlowEta(fid); });
+        c.rate = std::min(sn.egress_bw, dn.ingress_bw);
+        c.eta_us[0] = etaUsOf(c.remaining[0], c.rate, now.micros());
+        c.settled = 1;
+        c.wake_us = c.eta_us[0];
+        c.wake = sim_.scheduleAt(SimTime::micros(c.wake_us),
+                                 [this, cls] { onWake(cls); });
         maybeVerify();
         return id;
     }
@@ -281,14 +292,29 @@ Network::startFlow(NodeId src, NodeId dst, int64_t bytes,
     return id;
 }
 
+uint32_t
+Network::classOf(NodeId src, NodeId dst)
+{
+    const uint64_t key = (static_cast<uint64_t>(src) << 32) |
+                         static_cast<uint32_t>(dst);
+    const auto [it, inserted] = class_of_.try_emplace(
+        key, static_cast<uint32_t>(classes_.size()));
+    if (inserted) {
+        PairClass& c = classes_.emplace_back();
+        c.src = src;
+        c.dst = dst;
+    }
+    return it->second;
+}
+
 Network::Flow*
 Network::findFlow(uint64_t packed)
 {
     const uint32_t slot = static_cast<uint32_t>(packed >> 32);
     const uint32_t gen = static_cast<uint32_t>(packed);
-    if (slot >= flow_slot_count_)
+    if (slot >= flows_.size())
         return nullptr;
-    Flow& flow = flowAt(slot);
+    Flow& flow = flows_[slot];
     if (!flow.active || flow.gen != gen)
         return nullptr;
     return &flow;
@@ -301,13 +327,13 @@ Network::findFlow(uint64_t packed) const
 }
 
 void
-Network::releaseFlow(Flow* flow)
+Network::releaseFlow(Flow& flow)
 {
-    flow->on_complete = nullptr;
-    flow->active = false;
-    if (++flow->gen == 0)  // keep FlowId 0 invalid across wraparound
-        flow->gen = 1;
-    flow_free_.push_back(static_cast<uint32_t>(flow->id.value >> 32));
+    flow.on_complete = nullptr;
+    flow.active = false;
+    if (++flow.gen == 0)  // keep FlowId 0 invalid across wraparound
+        flow.gen = 1;
+    flow_free_.push_back(static_cast<uint32_t>(flow.id.value >> 32));
     --active_flow_count_;
 }
 
@@ -316,7 +342,7 @@ Network::nodeActiveFlows(NodeId id) const
 {
     checkNode(id);
     const Node& node = nodes_[static_cast<size_t>(id)];
-    return node.out_flows.size() + node.in_flows.size();
+    return node.out_flows + node.in_flows;
 }
 
 double
@@ -337,7 +363,7 @@ double
 Network::flowRate(FlowId id) const
 {
     const Flow* flow = findFlow(id.value);
-    return flow == nullptr ? 0.0 : flow->rate;
+    return flow == nullptr ? 0.0 : classes_[flow->cls].rate;
 }
 
 const NicStats&
@@ -348,55 +374,32 @@ Network::stats(NodeId id) const
 }
 
 void
-Network::linkFlow(Flow* flow)
+Network::advanceMembers(PairClass& c, int64_t now_us)
 {
-    Node& sn = nodes_[static_cast<size_t>(flow->src)];
-    flow->src_pos = static_cast<uint32_t>(sn.out_flows.size());
-    sn.out_flows.push_back(flow);
-    Node& dn = nodes_[static_cast<size_t>(flow->dst)];
-    flow->dst_pos = static_cast<uint32_t>(dn.in_flows.size());
-    dn.in_flows.push_back(flow);
-}
-
-void
-Network::unlinkFlow(Flow* flow)
-{
-    // Swap-remove from both NIC lists, fixing the moved flow's
-    // back-pointer (an out list only holds flows sourced at the node,
-    // so the moved flow's position field is unambiguous).
-    {
-        auto& list = nodes_[static_cast<size_t>(flow->src)].out_flows;
-        Flow* moved = list.back();
-        list[flow->src_pos] = moved;
-        list.pop_back();
-        if (flow->src_pos < list.size())
-            moved->src_pos = flow->src_pos;
-    }
-    {
-        auto& list = nodes_[static_cast<size_t>(flow->dst)].in_flows;
-        Flow* moved = list.back();
-        list[flow->dst_pos] = moved;
-        list.pop_back();
-        if (flow->dst_pos < list.size())
-            moved->dst_pos = flow->dst_pos;
-    }
-}
-
-void
-Network::advanceFlow(Flow& flow, SimTime now)
-{
-    if (flow.rate > 0.0) {
-        const double elapsed = (now - flow.last_touch).secondsF();
-        if (elapsed > 0.0) {
-            flow.remaining =
-                std::max(0.0, flow.remaining - flow.rate * elapsed);
+    if (c.rate > 0.0) {
+        // Members mostly share their last touch, so the elapsed time and
+        // the charge are worked out once per run of equal touches (the
+        // same operations on the same values as per member).
+        int64_t last = now_us;
+        double charge = 0.0;
+        for (size_t j = 0; j < c.size(); ++j) {
+            const int64_t touch = c.touch_us[j];
+            if (touch >= now_us)
+                continue;  // no time elapsed: nothing to charge
+            if (touch != last) {
+                last = touch;
+                charge = c.rate * (SimTime::micros(now_us) -
+                                   SimTime::micros(touch))
+                                      .secondsF();
+            }
+            c.remaining[j] = std::max(0.0, c.remaining[j] - charge);
         }
     }
-    flow.last_touch = now;
+    std::fill(c.touch_us.begin(), c.touch_us.end(), now_us);
 }
 
 void
-Network::collectComponent(int seed, std::vector<Flow*>& out)
+Network::collectComponent(int seed, std::vector<uint32_t>& out)
 {
     uint64_t& seed_mark = nicMark(seed);
     if (seed_mark == mark_epoch_)
@@ -409,15 +412,16 @@ Network::collectComponent(int seed, std::vector<Flow*>& out)
         bfs_stack_.pop_back();
         Node& node = nodes_[static_cast<size_t>(nic >> 1)];
         const bool ingress = (nic & 1) != 0;
-        for (Flow* flow : ingress ? node.in_flows : node.out_flows) {
-            if (flow->stalled || flow->mark == mark_epoch_)
+        for (const uint32_t cls :
+             ingress ? node.in_classes : node.out_classes) {
+            PairClass& c = classes_[cls];
+            if (c.stalled || c.mark == mark_epoch_)
                 continue;
-            flow->mark = mark_epoch_;
-            out.push_back(flow);
-            // Each flow joins exactly two directional NICs: its source's
+            c.mark = mark_epoch_;
+            out.push_back(cls);
+            // Each class joins exactly two directional NICs: its source's
             // egress and its destination's ingress.
-            const int peer =
-                ingress ? egressNic(flow->src) : ingressNic(flow->dst);
+            const int peer = ingress ? egressNic(c.src) : ingressNic(c.dst);
             uint64_t& peer_mark = nicMark(peer);
             if (peer_mark != mark_epoch_) {
                 peer_mark = mark_epoch_;
@@ -432,18 +436,18 @@ Network::collectComponent(int seed, std::vector<Flow*>& out)
 }
 
 void
-Network::waterFillRates(const std::vector<Flow*>& flows,
+Network::waterFillRates(const std::vector<FillItem>& items,
                         std::vector<double>& rates)
 {
     // Progressive filling: repeatedly saturate the NIC capacity whose
     // fair share is smallest, freezing its flows at that rate. Restricted
     // to one component, whose allocation is independent of the rest of
     // the network by construction.
-    const size_t n = flows.size();
+    const size_t n = items.size();
     rates.assign(n, 0.0);
 
     // Gather the component's NICs into the dense scratch table (wf_nodes_)
-    // and translate each flow's endpoints to slot indices once up front:
+    // and translate each item's endpoints to slot indices once up front:
     // the filling rounds below then touch only small contiguous arrays,
     // never the fat Node records.
     ++scratch_epoch_;
@@ -460,15 +464,15 @@ Network::waterFillRates(const std::vector<Flow*>& flows,
         return node.scratch_slot;
     };
     for (size_t i = 0; i < n; ++i) {
-        const uint32_t ss = slotOf(flows[i]->src);
-        const uint32_t ds = slotOf(flows[i]->dst);
+        const uint32_t ss = slotOf(items[i].src);
+        const uint32_t ds = slotOf(items[i].dst);
         wf_src_slot_[i] = ss;
         wf_dst_slot_[i] = ds;
-        wf_nodes_[ss].eg_cnt++;
-        wf_nodes_[ds].in_cnt++;
+        wf_nodes_[ss].eg_cnt += items[i].count;
+        wf_nodes_[ds].in_cnt += items[i].count;
     }
 
-    // Indices into flows/rates still unfrozen (member buffers: the
+    // Indices into items/rates still unfrozen (member buffers: the
     // water-fill runs on every flow event, so no per-call allocation).
     auto& unfrozen = wf_unfrozen_;
     auto& still = wf_still_;
@@ -479,7 +483,7 @@ Network::waterFillRates(const std::vector<Flow*>& flows,
 
     while (!unfrozen.empty()) {
         // Compute each NIC's fair share once per round (one division per
-        // NIC, reused for every flow below) and take the global minimum.
+        // NIC, reused for every item below) and take the global minimum.
         double best_share = std::numeric_limits<double>::infinity();
         for (WfNode& wn : wf_nodes_) {
             if (wn.eg_cnt > 0) {
@@ -509,13 +513,14 @@ Network::waterFillRates(const std::vector<Flow*>& flows,
         // Every flow frozen this round freezes at the same best_share, so
         // each node's capacity drops by count*best_share — a single
         // multiply instead of a chain of subtractions. This makes the
-        // whole fill independent of flow iteration order (min, division
-        // and integer counts are all order-free), which is what lets the
-        // incremental recompute skip any canonical sorting and still
-        // bit-match the full-recompute oracle.
+        // whole fill independent of iteration order and of how flows are
+        // grouped into items (min, division and integer counts are all
+        // order-free), which is what lets the incremental recompute fill
+        // pair classes, skip any canonical sorting, and still bit-match
+        // the flow-by-flow oracle.
         for (const size_t i : frozen_now) {
-            wf_nodes_[wf_src_slot_[i]].eg_froze++;
-            wf_nodes_[wf_dst_slot_[i]].in_froze++;
+            wf_nodes_[wf_src_slot_[i]].eg_froze += items[i].count;
+            wf_nodes_[wf_dst_slot_[i]].in_froze += items[i].count;
         }
         for (const size_t i : frozen_now) {
             WfNode& sn = wf_nodes_[wf_src_slot_[i]];
@@ -548,57 +553,71 @@ Network::recomputeComponentFrom(int seed)
 }
 
 void
-Network::applyRates(std::vector<Flow*>& comp)
+Network::applyRates(const std::vector<uint32_t>& comp)
 {
     if (comp.empty())
         return;
-    waterFillRates(comp, comp_rates_);
-    const SimTime now = sim_.now();
-    const int64_t now_us = now.micros();
+    fill_items_.clear();
+    for (const uint32_t cls : comp) {
+        const PairClass& c = classes_[cls];
+        fill_items_.push_back(
+            FillItem{c.src, c.dst, static_cast<int>(c.size())});
+    }
+    waterFillRates(fill_items_, fill_rates_);
+    const int64_t now_us = sim_.now().micros();
 
-    // Apply the allocation and re-arm the component's sentinel: one
-    // wakeup event at the earliest flow ETA serves the whole component,
-    // so a recompute costs at most one cancel+schedule — not one per
-    // flow. `owner` is whichever flow carried the previous sentinel
-    // (two can appear transiently when components merge).
-    Flow* sentinel = nullptr;
-    Flow* owner = nullptr;
-    int64_t owner_when = 0;
+    // Apply the allocation and re-arm the component's wakeup: one event
+    // at the earliest member ETA serves the whole component, so a
+    // recompute costs at most one cancel+schedule — not one per flow.
+    // `owner` is whichever class carried the previous wakeup (two can
+    // appear transiently when components merge).
+    PairClass* owner = nullptr;
+    uint32_t carrier = 0;
+    int64_t when = std::numeric_limits<int64_t>::max();
     for (size_t i = 0; i < comp.size(); ++i) {
-        Flow& flow = *comp[i];
-        if (flow.eta.valid()) {
+        PairClass& c = classes_[comp[i]];
+        if (c.wake.valid()) {
             if (owner == nullptr) {
-                owner = &flow;
-                owner_when = flow.eta_when_us;
+                owner = &c;
             } else {
-                sim_.cancel(flow.eta);
-                flow.eta = {};
+                sim_.cancel(c.wake);
+                c.wake = {};
             }
         }
-        if (flow.rate != comp_rates_[i]) {
-            // Rate changed: charge progress at the *old* rate, then the
-            // stored ETA is stale — recompute it. An unchanged rate means
-            // an unchanged trajectory; the flow needs no touch at all.
-            advanceFlow(flow, now);
-            flow.rate = comp_rates_[i];
-            flow.eta_when_us = etaUsOf(flow.remaining, flow.rate, now_us);
+        size_t stale = c.settled;
+        if (c.rate != fill_rates_[i]) {
+            // Rate changed: charge progress at the *old* rate, then every
+            // stored ETA is stale. An unchanged rate means unchanged
+            // trajectories: only members that joined since the last fill
+            // (at this very instant, so nothing to charge) need an ETA.
+            advanceMembers(c, now_us);
+            c.rate = fill_rates_[i];
+            stale = 0;
         }
-        if (sentinel == nullptr ||
-            flow.eta_when_us < sentinel->eta_when_us) {
-            sentinel = &flow;
+        int64_t class_min = std::numeric_limits<int64_t>::max();
+        for (size_t j = 0; j < stale; ++j)
+            class_min = std::min(class_min, c.eta_us[j]);
+        for (size_t j = stale; j < c.size(); ++j) {
+            c.eta_us[j] = etaUsOf(c.remaining[j], c.rate, now_us);
+            class_min = std::min(class_min, c.eta_us[j]);
+        }
+        c.settled = static_cast<uint32_t>(c.size());
+        if (class_min < when) {
+            when = class_min;
+            carrier = comp[i];
         }
     }
 
-    const int64_t when = sentinel->eta_when_us;
     if (owner != nullptr) {
-        if (owner_when == when)
+        if (owner->wake_us == when)
             return;  // the pending wakeup already fires at the right time
-        sim_.cancel(owner->eta);
-        owner->eta = {};
+        sim_.cancel(owner->wake);
+        owner->wake = {};
     }
-    sentinel->eta =
-        sim_.scheduleAt(SimTime::micros(when),
-                        [this, fid = sentinel->id.value] { onFlowEta(fid); });
+    PairClass& c = classes_[carrier];
+    c.wake_us = when;
+    c.wake = sim_.scheduleAt(SimTime::micros(when),
+                             [this, carrier] { onWake(carrier); });
 }
 
 void
@@ -612,29 +631,48 @@ Network::recomputeAffected(int nic_a, int nic_b)
 }
 
 void
-Network::onFlowEta(uint64_t id)
+Network::detachClass(uint32_t cls)
 {
-    Flow* fired = findFlow(id);
-    if (fired == nullptr)
-        return;
-    Flow& flow = *fired;
-    flow.eta = {};  // this event was the component's sentinel
+    PairClass& c = classes_[cls];
+    // Swap-remove from both NIC lists, fixing the moved class's position
+    // (an out list only holds classes sourced at the node, so the moved
+    // class's position field is unambiguous).
+    std::vector<uint32_t>& out = nodes_[static_cast<size_t>(c.src)].out_classes;
+    out[c.out_pos] = out.back();
+    classes_[out[c.out_pos]].out_pos = c.out_pos;
+    out.pop_back();
+    std::vector<uint32_t>& in = nodes_[static_cast<size_t>(c.dst)].in_classes;
+    in[c.in_pos] = in.back();
+    classes_[in[c.in_pos]].in_pos = c.in_pos;
+    in.pop_back();
+    if (c.wake.valid()) {
+        sim_.cancel(c.wake);
+        c.wake = {};
+    }
+}
+
+void
+Network::onWake(uint32_t cls)
+{
+    PairClass& fired = classes_[cls];
+    assert(fired.size() > 0 && !fired.stalled);
+    fired.wake = {};  // this event was the component's wakeup
     const SimTime now = sim_.now();
     const int64_t now_us = now.micros();
 
-    // The sentinel woke the whole component: advance every flow and
+    // The wakeup covers the whole component: advance every member and
     // split off the drained ones. Batching the drain is what makes a
     // fan-out of equal flows complete in O(component), not O(component²).
     ++mark_epoch_;
     comp_.clear();
-    // The flow's src-egress NIC always carries it, so seeding there
-    // collects its whole component, `flow` included.
-    collectComponent(egressNic(flow.src), comp_);
+    // The class's src-egress NIC always carries it, so seeding there
+    // collects its whole component, the class included.
+    collectComponent(egressNic(fired.src), comp_);
 
     struct Done
     {
-        Flow* flow;
         uint64_t seq;
+        uint32_t slot;
         NodeId src;
         NodeId dst;
         int64_t bytes;
@@ -642,41 +680,72 @@ Network::onFlowEta(uint64_t id)
         std::function<void(SimTime)> cb;
     };
     std::vector<Done> done;
-    remaining_.clear();
-    for (Flow* f : comp_) {
-        advanceFlow(*f, now);
-        if (f->remaining > kDrainEpsilon) {
-            remaining_.push_back(f);
+    survivors_.clear();
+    for (const uint32_t k : comp_) {
+        PairClass& c = classes_[k];
+        advanceMembers(c, now_us);
+        // Drained members leave; survivors close ranks in start order,
+        // and each moved one's slab record learns its new index.
+        size_t kept = 0;
+        for (size_t j = 0; j < c.size(); ++j) {
+            const uint32_t slot = c.slot[j];
+            if (c.remaining[j] > kDrainEpsilon) {
+                if (kept != j) {
+                    c.remaining[kept] = c.remaining[j];
+                    c.touch_us[kept] = c.touch_us[j];
+                    c.eta_us[kept] = c.eta_us[j];
+                    c.slot[kept] = slot;
+                    flows_[slot].member = static_cast<uint32_t>(kept);
+                }
+                ++kept;
+                continue;
+            }
+            Flow& f = flows_[slot];
+            if (trace_)
+                trace_->closeSpan(f.trace_span, now);
+            done.push_back(Done{f.seq, slot, c.src, c.dst, f.bytes,
+                                now - f.start, std::move(f.on_complete)});
+        }
+        if (kept == c.size()) {
+            survivors_.push_back(k);
             continue;
         }
-        if (f->eta.valid()) {
-            sim_.cancel(f->eta);
-            f->eta = {};
-        }
-        if (trace_)
-            trace_->closeSpan(f->trace_span, now);
-        done.push_back(Done{f, f->seq, f->src, f->dst, f->bytes,
-                            now - f->start, std::move(f->on_complete)});
+        c.remaining.resize(kept);
+        c.touch_us.resize(kept);
+        c.eta_us.resize(kept);
+        c.slot.resize(kept);
+        c.settled = static_cast<uint32_t>(kept);
+        if (kept > 0)
+            survivors_.push_back(k);
+        else
+            detachClass(k);
     }
 
     if (done.empty()) {
-        // Woken early (floating-point ceil residue, or a sentinel kept
+        // Woken early (floating-point ceil residue, or a wakeup kept
         // from before a rate change): nothing drained, rates are still
         // valid — just re-arm at the true earliest ETA. Stale stored
         // ETAs (<= now) are recomputed from the freshly advanced
         // remaining, so the new wakeup is strictly in the future.
-        Flow* sentinel = nullptr;
-        for (Flow* f : remaining_) {
-            if (f->eta_when_us <= now_us)
-                f->eta_when_us = etaUsOf(f->remaining, f->rate, now_us);
-            if (sentinel == nullptr ||
-                f->eta_when_us < sentinel->eta_when_us) {
-                sentinel = f;
+        uint32_t carrier = 0;
+        int64_t when = std::numeric_limits<int64_t>::max();
+        for (const uint32_t k : comp_) {
+            PairClass& c = classes_[k];
+            for (size_t j = 0; j < c.size(); ++j) {
+                if (c.eta_us[j] <= now_us)
+                    c.eta_us[j] = etaUsOf(c.remaining[j], c.rate, now_us);
+            }
+            const int64_t class_min =
+                *std::min_element(c.eta_us.begin(), c.eta_us.end());
+            if (class_min < when) {
+                when = class_min;
+                carrier = k;
             }
         }
-        sentinel->eta = sim_.scheduleAt(
-            SimTime::micros(sentinel->eta_when_us),
-            [this, fid = sentinel->id.value] { onFlowEta(fid); });
+        PairClass& c = classes_[carrier];
+        c.wake_us = when;
+        c.wake = sim_.scheduleAt(SimTime::micros(when),
+                                 [this, carrier] { onWake(carrier); });
         return;
     }
 
@@ -685,48 +754,49 @@ Network::onFlowEta(uint64_t id)
     std::sort(done.begin(), done.end(),
               [](const Done& a, const Done& b) { return a.seq < b.seq; });
     for (const Done& d : done) {
-        unlinkFlow(d.flow);
-        releaseFlow(d.flow);
+        --nodes_[static_cast<size_t>(d.src)].out_flows;
+        --nodes_[static_cast<size_t>(d.dst)].in_flows;
+        releaseFlow(flows_[d.slot]);
     }
 
-    if (!remaining_.empty()) {
-        // Star fast path: if every surviving flow shares one *directed*
+    if (!survivors_.empty()) {
+        // Star fast path: if every surviving class shares one *directed*
         // NIC — the same source egress or the same destination ingress —
         // they are still a single component, so reuse the collected set
         // instead of re-walking the graph. This is the common shape
         // (many workers fetching from, or saving to, one storage hub).
-        // A node that merely appears as src of some flows and dst of
+        // A node that merely appears as src of some classes and dst of
         // others does NOT qualify: its egress and ingress are separate
-        // vertices and the two flow sets are separate components.
-        NodeId all_src = remaining_[0]->src;
-        NodeId all_dst = remaining_[0]->dst;
-        for (const Flow* f : remaining_) {
-            if (all_src >= 0 && f->src != all_src)
+        // vertices and the two class sets are separate components.
+        NodeId all_src = classes_[survivors_[0]].src;
+        NodeId all_dst = classes_[survivors_[0]].dst;
+        for (const uint32_t k : survivors_) {
+            if (all_src >= 0 && classes_[k].src != all_src)
                 all_src = -1;
-            if (all_dst >= 0 && f->dst != all_dst)
+            if (all_dst >= 0 && classes_[k].dst != all_dst)
                 all_dst = -1;
             if (all_src < 0 && all_dst < 0)
                 break;
         }
         if (all_src >= 0 || all_dst >= 0) {
-            applyRates(remaining_);
+            applyRates(survivors_);
         } else {
             // The drained flows may have split the component; re-seed
             // from every touched NIC that still carries flows.
             ++mark_epoch_;
             for (const Done& d : done) {
                 Node& sn = nodes_[static_cast<size_t>(d.src)];
-                if (sn.mark_eg != mark_epoch_ && !sn.out_flows.empty())
+                if (sn.mark_eg != mark_epoch_ && sn.out_flows > 0)
                     recomputeComponentFrom(egressNic(d.src));
                 Node& dn = nodes_[static_cast<size_t>(d.dst)];
-                if (dn.mark_in != mark_epoch_ && !dn.in_flows.empty())
+                if (dn.mark_in != mark_epoch_ && dn.in_flows > 0)
                     recomputeComponentFrom(ingressNic(d.dst));
             }
         }
     }
     maybeVerify();
 
-    // Fire last, in flow-id order: callbacks may start new flows
+    // Fire last, in start order: callbacks may start new flows
     // reentrantly.
     for (Done& d : done) {
         if (flow_observer_)
@@ -739,37 +809,69 @@ Network::onFlowEta(uint64_t id)
 bool
 Network::ratesMatchFullRecompute()
 {
-    // Oracle: rebuild every component from scratch, water-fill it, and
-    // compare bitwise against the incrementally maintained rates.
-    std::vector<Flow*> all;
-    all.reserve(active_flow_count_);
-    for (uint32_t slot = 0; slot < flow_slot_count_; ++slot) {
-        Flow& flow = flowAt(slot);
-        if (flow.active)
-            all.push_back(&flow);
+    // Oracle, independent of the pair classes: rebuild every component
+    // from scratch, flow by flow (a union-find over directional NICs),
+    // water-fill each one with one item per flow, and compare bitwise
+    // against the rate each flow's class holds.
+    std::vector<int> parent(nodes_.size() * 2);
+    for (size_t v = 0; v < parent.size(); ++v)
+        parent[v] = static_cast<int>(v);
+    const auto root = [&parent](int v) {
+        while (parent[static_cast<size_t>(v)] != v) {
+            v = parent[static_cast<size_t>(v)] =
+                parent[static_cast<size_t>(parent[static_cast<size_t>(v)])];
+        }
+        return v;
+    };
+    std::vector<uint32_t> live;
+    for (uint32_t slot = 0; slot < flows_.size(); ++slot) {
+        const Flow& flow = flows_[slot];
+        if (!flow.active)
+            continue;
+        const PairClass& c = classes_[flow.cls];
+        if (flow.member >= c.size() || c.slot[flow.member] != slot)
+            return false;
+        const bool stalled = !nodes_[static_cast<size_t>(c.src)].link_up ||
+                             !nodes_[static_cast<size_t>(c.dst)].link_up;
+        if (stalled != c.stalled)
+            return false;
+        if (stalled) {
+            if (c.rate != 0.0)
+                return false;
+            continue;
+        }
+        parent[static_cast<size_t>(root(egressNic(c.src)))] =
+            root(ingressNic(c.dst));
+        live.push_back(slot);
     }
-    std::sort(all.begin(), all.end(), [](const Flow* a, const Flow* b) {
-        return a->seq < b->seq;
-    });
 
-    ++mark_epoch_;
-    std::vector<Flow*> comp;
+    // Group the live flows by component, then fill each component.
+    std::vector<std::pair<int, uint32_t>> by_comp;
+    by_comp.reserve(live.size());
+    for (const uint32_t slot : live) {
+        const PairClass& c = classes_[flows_[slot].cls];
+        by_comp.emplace_back(root(egressNic(c.src)), slot);
+    }
+    std::sort(by_comp.begin(), by_comp.end());
+    std::vector<FillItem> items;
     std::vector<double> rates;
-    for (Flow* flow : all) {
-        if (flow->stalled) {
-            if (flow->rate != 0.0)
-                return false;
-            continue;
+    for (size_t begin = 0; begin < by_comp.size();) {
+        size_t end = begin;
+        items.clear();
+        for (; end < by_comp.size() && by_comp[end].first ==
+                                           by_comp[begin].first;
+             ++end) {
+            const PairClass& c = classes_[flows_[by_comp[end].second].cls];
+            items.push_back(FillItem{c.src, c.dst, 1});
         }
-        if (flow->mark == mark_epoch_)
-            continue;
-        comp.clear();
-        collectComponent(egressNic(flow->src), comp);
-        waterFillRates(comp, rates);
-        for (size_t i = 0; i < comp.size(); ++i) {
-            if (comp[i]->rate != rates[i])
+        waterFillRates(items, rates);
+        for (size_t i = begin; i < end; ++i) {
+            if (classes_[flows_[by_comp[i].second].cls].rate !=
+                rates[i - begin]) {
                 return false;
+            }
         }
+        begin = end;
     }
     return true;
 }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -44,19 +45,28 @@ struct NicStats
  * NIC capacities it traverses, so transfer latencies react to contention
  * exactly as the paper's wondershaper experiments do.
  *
- * The allocator is *incremental*: flows connected through shared NIC
+ * Under max-min with equal weights, all flows between one (src, dst)
+ * node pair always get one rate. The allocator therefore works on *pair
+ * classes*: the active flows of a pair, counted with a multiplicity.
+ * Each class keeps its members' progress (remaining bytes, last touch,
+ * own ETA) in struct-of-arrays form and advances it flow by flow, with
+ * the same arithmetic at the same instants as a per-flow allocator.
+ *
+ * The allocator is *incremental*: classes connected through shared NIC
  * capacities form components, and a flow add/complete/link flip only
- * re-runs water-filling over the affected component(s) — flows in other
- * components keep their frozen rates untouched. Components are built
- * over *directional* NICs (a node's egress and ingress are separate
+ * re-runs water-filling over the affected component(s) — classes in
+ * other components keep their frozen rates untouched. Components are
+ * built over *directional* NICs (a node's egress and ingress are separate
  * capacities, so an outbound and an inbound flow at the same node do not
  * contend and land in separate components — e.g. saves and fetches
  * against a storage hub). Each component is an independent max-min
- * problem, so the result is bit-identical to a full recompute (a
- * debug-mode cross-check proves it on every update; see
- * Config::verify_rates). Flow progress is tracked lazily per flow and
- * completions fire from per-flow ETA events, so an event touches O(its
- * component), not O(all flows).
+ * problem, and the fill uses only integer counts and `count × share`
+ * subtractions, so filling classes gives bit-identical rates to filling
+ * flows; a debug-mode oracle that rebuilds components and fills them
+ * flow by flow proves it on every update (Config::verify_rates). One
+ * wakeup event per component, carried by one of its classes, fires at
+ * the earliest member ETA, so an event touches O(its component), not
+ * O(all flows).
  *
  * Small control-plane messages (task assignments, state updates) are
  * modelled with a fixed per-hop latency plus an unshared serialisation
@@ -181,40 +191,52 @@ class Network
     bool ratesMatchFullRecompute();
 
   private:
-    /** Slab-resident flow record. The first 64 bytes are exactly the
-     *  fields the component walk and rate-apply loops touch, so the hot
-     *  path reads one cache line per flow (alignas pins the tiling). */
-    struct alignas(64) Flow
+    /** Slab-resident flow record: identity and completion data. Progress
+     *  lives in the flow's pair class, at index `member`. */
+    struct Flow
     {
-        // --- hot line: component BFS + water-fill apply -------------
-        NodeId src;
-        NodeId dst;
-        double remaining;   ///< bytes left at time `last_touch`
-        double rate = 0.0;  ///< bytes/s allocated by the last recompute
-        SimTime last_touch;       ///< when `remaining` was materialised
-        /** This flow's own absolute ETA in µs; exact while `rate` is
-         *  unchanged (recomputed whenever the rate moves). */
-        int64_t eta_when_us = 0;
-        /** Pending wakeup event. Exactly one flow per component carries
-         *  one — the sentinel — scheduled at the component's earliest
-         *  ETA; the handler advances and drains the whole component, so
-         *  rate changes cost O(1) event-queue traffic per component, not
-         *  O(flows). */
-        sim::EventId eta;
-        uint64_t mark = 0;        ///< component-BFS visit epoch
-        uint32_t gen = 1;         ///< bumped on retire; packed into FlowId
-        bool stalled = false;     ///< a dead endpoint pins the rate to 0
-        bool active = false;      ///< slab slot currently holds a flow
-        // --- cold remainder ------------------------------------------
         FlowId id;
+        uint32_t gen = 1;         ///< bumped on retire; packed into FlowId
+        bool active = false;      ///< slab slot currently holds a flow
+        uint32_t cls = 0;         ///< index into classes_
+        uint32_t member = 0;      ///< index in the class's member arrays
         uint64_t seq = 0;         ///< monotone start order (canonical
                                   ///< completion-callback ordering)
         uint64_t trace_span = 0;  ///< open "xfer" span while tracing
         int64_t bytes = 0;        ///< total size (flow-observer report)
         SimTime start;
-        uint32_t src_pos = 0;     ///< index in the src node's flow list
-        uint32_t dst_pos = 0;     ///< index in the dst node's flow list
         std::function<void(SimTime)> on_complete;
+    };
+
+    /**
+     * The active flows of one (src, dst) pair. They share one rate, and
+     * an outage at either endpoint stalls them all. Member progress is
+     * kept per flow so it advances exactly as a lone flow's would.
+     */
+    struct PairClass
+    {
+        NodeId src = 0;
+        NodeId dst = 0;
+        double rate = 0.0;     ///< bytes/s per member, from the last fill
+        bool stalled = false;  ///< an endpoint's link is down: rate 0
+        uint64_t mark = 0;     ///< component-walk visit epoch
+        uint32_t out_pos = 0;  ///< index in the src node's out_classes
+        uint32_t in_pos = 0;   ///< index in the dst node's in_classes
+        /** The component's wakeup, when this class carries it, and the
+         *  µs it fires at. */
+        sim::EventId wake;
+        int64_t wake_us = 0;
+        /** Members [0, settled) have an ETA at the current rate; later
+         *  ones joined since the last fill. */
+        uint32_t settled = 0;
+        // Member arrays, one entry per active flow of the pair.
+        std::vector<double> remaining;  ///< bytes left at `touch_us`
+        std::vector<int64_t> touch_us;  ///< when `remaining` was charged
+        /** Own absolute ETA in µs; exact while `rate` is unchanged. */
+        std::vector<int64_t> eta_us;
+        std::vector<uint32_t> slot;     ///< the member's flow slab slot
+
+        size_t size() const { return slot.size(); }
     };
 
     struct Node
@@ -224,10 +246,12 @@ class Network
         double ingress_bw;
         NicStats stats;
         bool link_up = true;
-        std::vector<Flow*> out_flows;  ///< flows sourced here (egress NIC)
-        std::vector<Flow*> in_flows;   ///< flows sinking here (ingress NIC)
-        uint64_t mark_eg = 0;      ///< egress-NIC component-BFS epoch
-        uint64_t mark_in = 0;      ///< ingress-NIC component-BFS epoch
+        std::vector<uint32_t> out_classes;  ///< non-empty, sourced here
+        std::vector<uint32_t> in_classes;   ///< non-empty, sinking here
+        size_t out_flows = 0;  ///< flows sourced here, stalled included
+        size_t in_flows = 0;   ///< flows sinking here, stalled included
+        uint64_t mark_eg = 0;      ///< egress-NIC component-walk epoch
+        uint64_t mark_in = 0;      ///< ingress-NIC component-walk epoch
         uint64_t scratch_mark = 0; ///< water-filling scratch epoch
         uint32_t scratch_slot = 0; ///< index into wf_nodes_ while current
     };
@@ -235,6 +259,14 @@ class Network
     /** Directional NIC handle: a component-graph vertex. */
     static int egressNic(NodeId id) { return id << 1; }
     static int ingressNic(NodeId id) { return (id << 1) | 1; }
+
+    /** One water-filling input: `count` flows from `src` to `dst`. */
+    struct FillItem
+    {
+        NodeId src;
+        NodeId dst;
+        int count;
+    };
 
     /** Dense per-component water-filling scratch: one cache line per
      *  touched node instead of pointer-chasing the fat Node records. */
@@ -258,23 +290,23 @@ class Network
 
     /** Flow slab: slots are reused via a free list and invalidated by a
      *  generation bump, so starting/completing a flow never allocates or
-     *  hashes once the slab is warm. Fixed-size chunks keep Flow*
-     *  stable across growth and flows densely packed for the BFS. */
-    static constexpr uint32_t kFlowChunkShift = 9;  // 512 flows/chunk
-    static constexpr uint32_t kFlowChunkSize = 1u << kFlowChunkShift;
-    std::vector<std::unique_ptr<Flow[]>> flow_chunks_;
-    uint32_t flow_slot_count_ = 0;  ///< slots handed out so far
+     *  hashes once the slab is warm. */
+    std::vector<Flow> flows_;
     std::vector<uint32_t> flow_free_;
     size_t active_flow_count_ = 0;
     uint64_t next_flow_seq_ = 1;
+    /** Every pair class ever used; an emptied class stays for reuse. */
+    std::vector<PairClass> classes_;
+    std::unordered_map<uint64_t, uint32_t> class_of_;  ///< (src, dst) key
     uint64_t mark_epoch_ = 0;
     uint64_t scratch_epoch_ = 0;
 
     // Reused buffers for the hot component walk (no per-event allocation
     // once warm).
-    std::vector<Flow*> comp_;
-    std::vector<Flow*> remaining_;
-    std::vector<double> comp_rates_;
+    std::vector<uint32_t> comp_;  ///< of class indices
+    std::vector<uint32_t> survivors_;
+    std::vector<FillItem> fill_items_;
+    std::vector<double> fill_rates_;
     std::vector<int> bfs_stack_;  ///< of directional NIC handles
     std::vector<WfNode> wf_nodes_;
     std::vector<uint32_t> wf_src_slot_;
@@ -289,25 +321,19 @@ class Network
     void attemptSend(NodeId src, NodeId dst, int64_t bytes,
                      std::function<void()> on_delivered, int attempt);
 
-    void linkFlow(Flow* flow);
-    void unlinkFlow(Flow* flow);
-
-    Flow&
-    flowAt(uint32_t slot)
-    {
-        return flow_chunks_[slot >> kFlowChunkShift]
-                           [slot & (kFlowChunkSize - 1)];
-    }
+    /** The class of (src, dst), created empty on first use. */
+    uint32_t classOf(NodeId src, NodeId dst);
 
     /** Looks up a live flow by packed id; nullptr if retired/stale. */
     Flow* findFlow(uint64_t packed);
     const Flow* findFlow(uint64_t packed) const;
 
     /** Returns the flow's slot to the free list and stales its id. */
-    void releaseFlow(Flow* flow);
+    void releaseFlow(Flow& flow);
 
-    /** Charges elapsed time since `last_touch` against the flow. */
-    void advanceFlow(Flow& flow, SimTime now);
+    /** Charges elapsed time since each member's last touch at the
+     *  class's current rate. */
+    static void advanceMembers(PairClass& c, int64_t now_us);
 
     uint64_t&
     nicMark(int nic)
@@ -317,19 +343,19 @@ class Network
     }
 
     /**
-     * Collects the connected component of active flows reachable from
-     * the directional NIC `seed` into `out` (discovery order —
-     * water-filling is order-independent), under the current
+     * Collects the connected component of active, unstalled classes
+     * reachable from the directional NIC `seed` into `out` (discovery
+     * order — water-filling is order-independent), under the current
      * mark_epoch_. No-op for NICs already visited this epoch.
      */
-    void collectComponent(int seed, std::vector<Flow*>& out);
+    void collectComponent(int seed, std::vector<uint32_t>& out);
 
     /**
-     * Pure progressive filling (max-min) over one component. Writes the
-     * allocation into `rates`, aligned with `flows`. Mutates only node
-     * scratch fields.
+     * Pure progressive filling (max-min) over one component. Writes each
+     * item's per-flow rate into `rates`, aligned with `items`. Mutates
+     * only node scratch fields.
      */
-    void waterFillRates(const std::vector<Flow*>& flows,
+    void waterFillRates(const std::vector<FillItem>& items,
                         std::vector<double>& rates);
 
     /** Re-runs water-filling over the component(s) of the seed NICs and
@@ -337,12 +363,18 @@ class Network
     void recomputeAffected(int nic_a, int nic_b = -1);
     void recomputeComponentFrom(int seed);
 
-    /** Water-fills `comp` (one connected component), applies the new
-     *  rates and re-arms the component's single sentinel event at the
-     *  earliest flow ETA. */
-    void applyRates(std::vector<Flow*>& comp);
+    /** Water-fills `comp` (one connected component of classes), applies
+     *  the new rates and re-arms the component's single wakeup at the
+     *  earliest member ETA. */
+    void applyRates(const std::vector<uint32_t>& comp);
 
-    void onFlowEta(uint64_t id);
+    /** Takes an emptied class off its nodes' lists and drops any wakeup
+     *  it still carries. */
+    void detachClass(uint32_t cls);
+
+    /** The component's wakeup, carried by class `cls`: advances every
+     *  member, retires the drained ones and refills the survivors. */
+    void onWake(uint32_t cls);
 
     void maybeVerify();
 };
