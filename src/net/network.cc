@@ -279,9 +279,7 @@ Network::startFlow(NodeId src, NodeId dst, int64_t bytes,
         c.rate = std::min(sn.egress_bw, dn.ingress_bw);
         c.eta_us[0] = etaUsOf(c.remaining[0], c.rate, now.micros());
         c.settled = 1;
-        c.wake_us = c.eta_us[0];
-        c.wake = sim_.scheduleAt(SimTime::micros(c.wake_us),
-                                 [this, cls] { onWake(cls); });
+        armWake(cls, c.eta_us[0]);
         maybeVerify();
         return id;
     }
@@ -614,10 +612,16 @@ Network::applyRates(const std::vector<uint32_t>& comp)
         sim_.cancel(owner->wake);
         owner->wake = {};
     }
-    PairClass& c = classes_[carrier];
-    c.wake_us = when;
-    c.wake = sim_.scheduleAt(SimTime::micros(when),
-                             [this, carrier] { onWake(carrier); });
+    armWake(carrier, when);
+}
+
+void
+Network::armWake(uint32_t cls, int64_t when_us)
+{
+    PairClass& c = classes_[cls];
+    c.wake_us = when_us;
+    c.wake = sim_.scheduleAt(SimTime::micros(when_us),
+                             [this, cls] { onWake(cls); });
 }
 
 void
@@ -742,10 +746,7 @@ Network::onWake(uint32_t cls)
                 carrier = k;
             }
         }
-        PairClass& c = classes_[carrier];
-        c.wake_us = when;
-        c.wake = sim_.scheduleAt(SimTime::micros(when),
-                                 [this, carrier] { onWake(carrier); });
+        armWake(carrier, when);
         return;
     }
 

@@ -155,8 +155,9 @@ class Network
     /** Number of currently active bulk flows. */
     size_t activeFlows() const { return active_flow_count_; }
 
-    /** Active bulk flows touching `id` (either NIC) — the queue-depth
-     *  gauge of a hub node (the storage server). */
+    /** Active bulk flows touching `id` (either NIC), stalled ones
+     *  included — the queue-depth gauge of a hub node (the storage
+     *  server). */
     size_t nodeActiveFlows(NodeId id) const;
 
     double egressBandwidth(NodeId id) const;
@@ -184,9 +185,11 @@ class Network
     const NicStats& stats(NodeId id) const;
 
     /**
-     * Test/debug oracle: recomputes every component's max-min allocation
-     * from scratch and compares it bitwise against the incrementally
-     * maintained rates. True when they match exactly.
+     * Test/debug oracle: rebuilds every component from scratch, flow by
+     * flow and independently of the pair classes, recomputes its max-min
+     * allocation with one fill item per flow, and compares it bitwise
+     * against the incrementally maintained rates. True when they match
+     * exactly.
      */
     bool ratesMatchFullRecompute();
 
@@ -367,6 +370,9 @@ class Network
      *  the new rates and re-arms the component's single wakeup at the
      *  earliest member ETA. */
     void applyRates(const std::vector<uint32_t>& comp);
+
+    /** Schedules the component's wakeup at `when_us`, carried by `cls`. */
+    void armWake(uint32_t cls, int64_t when_us);
 
     /** Takes an emptied class off its nodes' lists and drops any wakeup
      *  it still carries. */
