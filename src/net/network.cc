@@ -133,7 +133,7 @@ Network::setLinkUp(NodeId id, bool up)
             if (c.stalled && nodes_[static_cast<size_t>(c.src)].link_up &&
                 nodes_[static_cast<size_t>(c.dst)].link_up) {
                 c.stalled = false;
-                std::fill(c.touch_us.begin(), c.touch_us.end(), now.micros());
+                advanceMembers(c, now.micros());  // at rate 0: touch only
             }
         }
     };
@@ -374,6 +374,8 @@ Network::stats(NodeId id) const
 void
 Network::advanceMembers(PairClass& c, int64_t now_us)
 {
+    if (c.touched_us == now_us)
+        return;  // every member was charged at this instant already
     if (c.rate > 0.0) {
         // Members mostly share their last touch, so the elapsed time and
         // the charge are worked out once per run of equal touches (the
@@ -394,6 +396,7 @@ Network::advanceMembers(PairClass& c, int64_t now_us)
         }
     }
     std::fill(c.touch_us.begin(), c.touch_us.end(), now_us);
+    c.touched_us = now_us;
 }
 
 void

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -232,6 +231,9 @@ class Network
         /** Members [0, settled) have an ETA at the current rate; later
          *  ones joined since the last fill. */
         uint32_t settled = 0;
+        /** Every member was last charged at this µs. Members join with
+         *  a touch of now, so a stale value never equals a later now. */
+        int64_t touched_us = -1;
         // Member arrays, one entry per active flow of the pair.
         std::vector<double> remaining;  ///< bytes left at `touch_us`
         std::vector<int64_t> touch_us;  ///< when `remaining` was charged
