@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -817,14 +818,12 @@ Network::ratesMatchFullRecompute()
     // from scratch, flow by flow (a union-find over directional NICs),
     // water-fill each one with one item per flow, and compare bitwise
     // against the rate each flow's class holds.
-    std::vector<int> parent(nodes_.size() * 2);
-    for (size_t v = 0; v < parent.size(); ++v)
-        parent[v] = static_cast<int>(v);
-    const auto root = [&parent](int v) {
-        while (parent[static_cast<size_t>(v)] != v) {
-            v = parent[static_cast<size_t>(v)] =
-                parent[static_cast<size_t>(parent[static_cast<size_t>(v)])];
-        }
+    std::vector<size_t> parent(nodes_.size() * 2);
+    std::iota(parent.begin(), parent.end(), size_t{0});
+    const auto root = [&parent](int nic) {
+        size_t v = static_cast<size_t>(nic);
+        while (parent[v] != v)
+            v = parent[v] = parent[parent[v]];
         return v;
     };
     std::vector<uint32_t> live;
@@ -844,13 +843,12 @@ Network::ratesMatchFullRecompute()
                 return false;
             continue;
         }
-        parent[static_cast<size_t>(root(egressNic(c.src)))] =
-            root(ingressNic(c.dst));
+        parent[root(egressNic(c.src))] = root(ingressNic(c.dst));
         live.push_back(slot);
     }
 
     // Group the live flows by component, then fill each component.
-    std::vector<std::pair<int, uint32_t>> by_comp;
+    std::vector<std::pair<size_t, uint32_t>> by_comp;
     by_comp.reserve(live.size());
     for (const uint32_t slot : live) {
         const PairClass& c = classes_[flows_[slot].cls];
