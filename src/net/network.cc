@@ -714,15 +714,13 @@ Network::onWake(uint32_t cls)
             done.push_back(Done{f.seq, slot, c.src, c.dst, f.bytes,
                                 now - f.start, std::move(f.on_complete)});
         }
-        if (kept == c.size()) {
-            survivors_.push_back(k);
-            continue;
+        if (kept < c.size()) {
+            c.remaining.resize(kept);
+            c.touch_us.resize(kept);
+            c.eta_us.resize(kept);
+            c.slot.resize(kept);
+            c.settled = static_cast<uint32_t>(kept);
         }
-        c.remaining.resize(kept);
-        c.touch_us.resize(kept);
-        c.eta_us.resize(kept);
-        c.slot.resize(kept);
-        c.settled = static_cast<uint32_t>(kept);
         if (kept > 0)
             survivors_.push_back(k);
         else
