@@ -455,8 +455,6 @@ struct Scenario
     std::vector<Transfer> flows;
     std::vector<Reshape> reshapes;
     std::vector<Outage> outages;
-    /** Start times are drawn from [0, horizon). */
-    double horizon_s = 0.0;
 };
 
 Scenario
@@ -465,12 +463,13 @@ makeScenario(uint64_t seed, bool star, bool faults)
     Rng rng(seed);
     Scenario s;
     int flows;
+    double horizon_s;  // start times are drawn from [0, horizon_s)
     if (star) {
         s.nodes.push_back({50e6, 50e6});
         for (int i = 0; i < 7; ++i)
             s.nodes.push_back({1.25e9, 1.25e9});
         flows = 3000;
-        s.horizon_s = 10.0;
+        horizon_s = 10.0;
     } else {
         const int nodes = 5 + static_cast<int>(rng.uniformInt(0, 3));
         for (int i = 0; i < nodes; ++i) {
@@ -478,13 +477,13 @@ makeScenario(uint64_t seed, bool star, bool faults)
                 {rng.uniform(20e6, 200e6), rng.uniform(20e6, 200e6)});
         }
         flows = 200;
-        s.horizon_s = 2.0;
+        horizon_s = 2.0;
     }
     const auto pick = [&](int lo) {
         return static_cast<NodeId>(
             rng.uniformInt(lo, static_cast<int64_t>(s.nodes.size()) - 1));
     };
-    const SimTime burst = SimTime::seconds(s.horizon_s / 4);
+    const SimTime burst = SimTime::seconds(horizon_s / 4);
     for (int i = 0; i < flows; ++i) {
         NodeId src;
         NodeId dst;
@@ -501,10 +500,9 @@ makeScenario(uint64_t seed, bool star, bool faults)
         }
         const int64_t bytes =
             i % 4 == 0 ? 4 * kMiB : rng.uniformInt(64, 2048) * kKiB;
-        const SimTime start = i % 5 == 0
-                                  ? burst
-                                  : SimTime::seconds(
-                                        rng.uniform(0.0, s.horizon_s));
+        const SimTime start =
+            i % 5 == 0 ? burst
+                       : SimTime::seconds(rng.uniform(0.0, horizon_s));
         s.flows.push_back({src, dst, bytes, start});
     }
     if (!faults)
@@ -514,12 +512,11 @@ makeScenario(uint64_t seed, bool star, bool faults)
         const Scenario::Nic& nic = s.nodes[static_cast<size_t>(node)];
         s.reshapes.push_back({node, nic.egress * rng.uniform(0.5, 2.0),
                               nic.ingress * rng.uniform(0.5, 2.0),
-                              SimTime::seconds(
-                                  rng.uniform(0.1, s.horizon_s))});
+                              SimTime::seconds(rng.uniform(0.1, horizon_s))});
     }
     for (int i = 0; i < 3; ++i) {
         const NodeId node = star && i == 0 ? 0 : pick(star ? 1 : 0);
-        const double down = rng.uniform(0.2, s.horizon_s * 0.75);
+        const double down = rng.uniform(0.2, horizon_s * 0.75);
         s.outages.push_back({node, SimTime::seconds(down),
                              SimTime::seconds(down +
                                               rng.uniform(0.05, 0.5))});
