@@ -72,7 +72,6 @@ ContainerPool::noteBusyChange(const std::string& function, int delta)
     fs.last_change = now;
     fs.busy += delta;
     assert(fs.busy >= 0);
-    fs.peak = std::max(fs.peak, fs.busy);
 }
 
 void
@@ -134,23 +133,25 @@ ContainerPool::evictForSpace(int64_t bytes_needed)
 }
 
 bool
-ContainerPool::tryCreate(const std::string& function,
-                         std::function<void(AcquireResult)>& on_ready,
-                         SimTime queued_since)
+ContainerPool::reserveContainer(const std::string& function, bool make_room)
 {
     if (containerCount(function) >= config_.per_function_limit)
         return false;
-    const FunctionSpec& spec = registry_.get(function);
-    if (config_.keep_alive == KeepAlivePolicy::GreedyDual)
-        evictForSpace(spec.mem_provisioned);
-    if (!reserve_memory_(spec.mem_provisioned))
-        return false;
+    const int64_t mem = registry_.get(function).mem_provisioned;
+    if (make_room && config_.keep_alive == KeepAlivePolicy::GreedyDual)
+        evictForSpace(mem);
+    return reserve_memory_(mem);
+}
 
-    ++cold_starts_;
+template <typename OnStarted>
+void
+ContainerPool::startContainer(const std::string& function,
+                              OnStarted on_started)
+{
     auto container = std::make_unique<Container>(
-        next_id_++, function, spec.mem_provisioned);
-    Container* raw = container.get();
-    containers_.emplace(raw->id(), std::move(container));
+        next_id_++, function, registry_.get(function).mem_provisioned);
+    const uint64_t id = container->id();
+    containers_.emplace(id, std::move(container));
     ++fn_index_[function].count;
 
     SimTime cold = config_.cold_start_mean;
@@ -158,27 +159,39 @@ ContainerPool::tryCreate(const std::string& function,
         cold = SimTime::micros(static_cast<int64_t>(rng_.lognormal(
             static_cast<double>(cold.micros()), config_.cold_start_sigma)));
     }
-    const SimTime queue_delay = sim_.now() - queued_since;
-    const uint64_t id = raw->id();
     const uint64_t epoch = crash_epoch_;
-    sim_.schedule(cold, [this, id, function, queue_delay, epoch,
-                         cb = std::move(on_ready)]() mutable {
+    sim_.schedule(cold, [this, id, epoch,
+                         on_started = std::move(on_started)]() mutable {
         if (epoch != crash_epoch_) {
             // The node crashed while this container was starting. Drop
-            // the waiter: its executor abandons via the same epoch.
+            // any waiter: its executor abandons via the same epoch.
             return;
         }
         const auto it = containers_.find(id);
-        if (it == containers_.end()) {
+        on_started(it == containers_.end() ? nullptr : it->second.get());
+    });
+}
+
+bool
+ContainerPool::tryCreate(const std::string& function,
+                         std::function<void(AcquireResult)>& on_ready,
+                         SimTime queued_since)
+{
+    if (!reserveContainer(function, /*make_room=*/true))
+        return false;
+    ++cold_starts_;
+    const SimTime queue_delay = sim_.now() - queued_since;
+    startContainer(function, [this, function, queue_delay,
+                              cb = std::move(on_ready)](Container* c) mutable {
+        if (!c) {
             // Recycled by a red-black switch mid-start: the waiter must
             // not be dropped — transparently retry the acquisition.
             acquire(function, std::move(cb));
             return;
         }
-        Container* c = it->second.get();
         c->state_ = ContainerState::Busy;
         c->use_count_++;
-        noteBusyChange(c->function(), +1);
+        noteBusyChange(function, +1);
         cb(AcquireResult{c, true, queue_delay});
     });
     return true;
@@ -266,34 +279,11 @@ int
 ContainerPool::prewarm(const std::string& function, int count)
 {
     int started = 0;
-    for (; started < count; ++started) {
-        if (containerCount(function) >= config_.per_function_limit)
-            break;
-        const FunctionSpec& spec = registry_.get(function);
-        if (!reserve_memory_(spec.mem_provisioned))
-            break;
-        ++prewarm_starts_;
-        auto container = std::make_unique<Container>(
-            next_id_++, function, spec.mem_provisioned);
-        Container* raw = container.get();
-        containers_.emplace(raw->id(), std::move(container));
-        ++fn_index_[function].count;
-
-        SimTime cold = config_.cold_start_mean;
-        if (config_.cold_start_sigma > 0.0) {
-            cold = SimTime::micros(static_cast<int64_t>(rng_.lognormal(
-                static_cast<double>(cold.micros()),
-                config_.cold_start_sigma)));
-        }
-        const uint64_t id = raw->id();
-        const uint64_t epoch = crash_epoch_;
-        sim_.schedule(cold, [this, id, epoch] {
-            if (epoch != crash_epoch_)
-                return;  // node crashed while the prewarm was starting
-            const auto it = containers_.find(id);
-            if (it == containers_.end())
+    for (; started < count && reserveContainer(function, /*make_room=*/false);
+         ++started) {
+        startContainer(function, [this](Container* c) {
+            if (!c)
                 return;  // recycled mid-start; no waiter to re-serve
-            Container* c = it->second.get();
             c->state_ = ContainerState::Idle;
             c->last_used_ = sim_.now();
             addIdle(c);
@@ -305,30 +295,6 @@ ContainerPool::prewarm(const std::string& function, int count)
         });
     }
     return started;
-}
-
-int
-ContainerPool::trimIdle(const std::string& function, int keep)
-{
-    const auto it = fn_index_.find(function);
-    if (it == fn_index_.end())
-        return 0;
-    // Coldest-first: destroy the least-recently-used idle containers
-    // beyond `keep` (ties break towards the lowest id, like findIdle).
-    std::vector<Container*> idle = it->second.idle;
-    std::sort(idle.begin(), idle.end(), [](Container* a, Container* b) {
-        if (a->lastUsed() != b->lastUsed())
-            return a->lastUsed() < b->lastUsed();
-        return a->id() < b->id();
-    });
-    const int excess = static_cast<int>(idle.size()) - std::max(keep, 0);
-    for (int i = 0; i < excess; ++i) {
-        destroy(idle[i]);
-        ++idle_trims_;
-    }
-    if (excess > 0)
-        serveWaiters();  // freed memory may unblock other functions
-    return std::max(excess, 0);
 }
 
 size_t
@@ -435,13 +401,6 @@ ContainerPool::averageConcurrency(const std::string& function) const
         static_cast<double>(fs.busy) *
             (sim_.now() - std::max(fs.last_change, stats_epoch_)).secondsF();
     return integral / window;
-}
-
-int
-ContainerPool::peakConcurrency(const std::string& function) const
-{
-    const auto it = stats_.find(function);
-    return it == stats_.end() ? 0 : it->second.peak;
 }
 
 }  // namespace faasflow::cluster

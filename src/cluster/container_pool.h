@@ -118,25 +118,13 @@ class ContainerPool
      * later acquisitions hit warm). Respects the per-function limit and
      * node memory like any other creation; waiters queued for the
      * function are served as the prewarmed containers come up. Returns
-     * how many starts were actually initiated.
+     * how many starts were actually initiated; they are not counted in
+     * coldStarts().
      */
     int prewarm(const std::string& function, int count);
 
-    /**
-     * Reactive scale-down: destroys idle containers of `function` beyond
-     * `keep`, coldest (least-recently-used) first, returning their
-     * memory to the node (which may unblock waiters of other functions).
-     * Returns how many were destroyed.
-     */
-    int trimIdle(const std::string& function, int keep);
-
     /** Waiters queued for `function` specifically. */
     size_t waitersFor(const std::string& function) const;
-
-    /** Prewarm starts initiated / idle containers trimmed (autoscaler
-     *  observability; prewarms are not counted in coldStarts()). */
-    uint64_t prewarmStarts() const { return prewarm_starts_; }
-    uint64_t idleTrims() const { return idle_trims_; }
 
     int containerCount(const std::string& function) const;
     int totalContainers() const;
@@ -157,9 +145,6 @@ class ContainerPool
      *  pool was built — the paper's Scale(v) feedback. */
     double averageConcurrency(const std::string& function) const;
 
-    /** Peak concurrent busy containers since the pool was built. */
-    int peakConcurrency(const std::string& function) const;
-
     uint64_t coldStarts() const { return cold_starts_; }
     uint64_t warmHits() const { return warm_hits_; }
     uint64_t pressureEvictions() const { return pressure_evictions_; }
@@ -175,7 +160,6 @@ class ContainerPool
     struct FunctionStats
     {
         int busy = 0;
-        int peak = 0;
         double busy_integral = 0.0;  ///< busy-count x seconds
         SimTime last_change;
     };
@@ -209,8 +193,6 @@ class ContainerPool
     uint64_t cold_starts_ = 0;
     uint64_t warm_hits_ = 0;
     uint64_t pressure_evictions_ = 0;
-    uint64_t prewarm_starts_ = 0;
-    uint64_t idle_trims_ = 0;
     SimTime stats_epoch_;
 
     Container* findIdle(const std::string& function);
@@ -231,6 +213,27 @@ class ContainerPool
     bool tryCreate(const std::string& function,
                    std::function<void(AcquireResult)>& on_ready,
                    SimTime queued_since);
+
+    /**
+     * First half of the one container-start path: checks the
+     * per-function limit and reserves the node memory for one more
+     * container of `function`. With `make_room`, GreedyDual first
+     * evicts idle containers for the space. Returns false, reserving
+     * nothing, when the limit or the memory forbids the start.
+     */
+    bool reserveContainer(const std::string& function, bool make_room);
+
+    /**
+     * Second half, after reserveContainer() returned true: creates the
+     * container, draws its lognormal cold start and schedules the start
+     * event. A crash in the meantime voids the event; otherwise it
+     * calls `on_started` with the container, or with nullptr when a
+     * red-black recycle destroyed it mid-start. The split lets a caller
+     * move its callback into `on_started` only once the start is sure.
+     */
+    template <typename OnStarted>
+    void startContainer(const std::string& function, OnStarted on_started);
+
     void destroy(Container* container);
     void scheduleLifetimeCheck(Container* container);
     void serveWaiters();

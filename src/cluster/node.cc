@@ -1,6 +1,5 @@
 #include "cluster/node.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/logging.h"
@@ -16,7 +15,6 @@ WorkerNode::WorkerNode(sim::Simulator& sim, const FunctionRegistry& registry,
         sim, registry, config.pool, rng,
         [this](int64_t bytes) { return reserveMemory(bytes); },
         [this](int64_t bytes) { releaseMemory(bytes); });
-    cpu_epoch_ = cpu_last_change_ = sim.now();
 }
 
 void
@@ -25,8 +23,7 @@ WorkerNode::crash()
     ++crash_epoch_;
     alive_ = false;
     core_waiters_.clear();
-    if (cores_in_use_ > 0)
-        noteCpuChange(-cores_in_use_);
+    cores_in_use_ = 0;
     pool_->crash();
 }
 
@@ -60,10 +57,6 @@ WorkerNode::releaseCore()
 void
 WorkerNode::noteCpuChange(int delta)
 {
-    const SimTime now = sim_.now();
-    cpu_integral_ += static_cast<double>(cores_in_use_) *
-                     (now - std::max(cpu_last_change_, cpu_epoch_)).secondsF();
-    cpu_last_change_ = now;
     cores_in_use_ += delta;
     assert(cores_in_use_ >= 0 && cores_in_use_ <= config_.cores);
 }
@@ -105,26 +98,6 @@ WorkerNode::containerCapacityLeft(int64_t container_size) const
     if (container_size <= 0)
         return 0;
     return static_cast<int>(memoryFree() / container_size);
-}
-
-double
-WorkerNode::averageCpuUtilisation() const
-{
-    const double window = (sim_.now() - cpu_epoch_).secondsF();
-    if (window <= 0.0)
-        return static_cast<double>(cores_in_use_) / config_.cores;
-    const double integral =
-        cpu_integral_ +
-        static_cast<double>(cores_in_use_) *
-            (sim_.now() - std::max(cpu_last_change_, cpu_epoch_)).secondsF();
-    return integral / window / static_cast<double>(config_.cores);
-}
-
-void
-WorkerNode::resetCpuStats()
-{
-    cpu_epoch_ = cpu_last_change_ = sim_.now();
-    cpu_integral_ = 0.0;
 }
 
 }  // namespace faasflow::cluster

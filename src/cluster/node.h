@@ -9,7 +9,6 @@
 
 #include "cluster/container_pool.h"
 #include "cluster/function.h"
-#include "common/sim_time.h"
 #include "common/units.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -87,10 +86,6 @@ class WorkerNode
      */
     int containerCapacityLeft(int64_t container_size) const;
 
-    /** Time-weighted average busy cores since the last stats reset. */
-    double averageCpuUtilisation() const;
-    void resetCpuStats();
-
   private:
     sim::Simulator& sim_;
     net::NodeId net_id_;
@@ -103,10 +98,6 @@ class WorkerNode
     int cores_in_use_ = 0;
     std::deque<std::function<void()>> core_waiters_;
     int64_t memory_used_ = 0;
-
-    double cpu_integral_ = 0.0;
-    SimTime cpu_last_change_;
-    SimTime cpu_epoch_;
 
     void noteCpuChange(int delta);
 };

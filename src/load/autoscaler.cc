@@ -4,15 +4,20 @@
 
 #include "cluster/cluster.h"
 #include "cluster/node.h"
+#include "common/sim_time.h"
 
 namespace faasflow::load {
 
-Autoscaler::Autoscaler(System& system) : Autoscaler(system, Config()) {}
+namespace {
 
-Autoscaler::Autoscaler(System& system, Config config)
-    : system_(system), config_(config)
-{
-}
+/** Inspection cadence. */
+constexpr SimTime kInterval = SimTime::millis(100);
+/** Max prewarm starts per function per worker per tick. */
+constexpr int kMaxStep = 2;
+
+}  // namespace
+
+Autoscaler::Autoscaler(System& system) : system_(system) {}
 
 void
 Autoscaler::start()
@@ -39,30 +44,20 @@ Autoscaler::tick()
         for (const std::string& fn : functions_) {
             const int count = pool.containerCount(fn);
             const int busy = pool.busyContainers(fn);
-            const int idle = std::max(count - busy, 0);
             const int waiting = static_cast<int>(pool.waitersFor(fn));
 
-            // Scale up: queued acquisitions mean every container of the
-            // function is taken and the per-function limit still has
-            // head-room; saturation (all busy, none queued yet) earns
-            // one speculative container.
+            // Queued acquisitions mean every container of the function
+            // is taken and the per-function limit still has head-room;
+            // saturation (all busy, none queued yet) earns one
+            // speculative container.
             int want = 0;
             if (waiting > 0)
-                want = std::min(waiting, config_.max_step);
+                want = std::min(waiting, kMaxStep);
             else if (count > 0 && busy == count)
                 want = 1;
             if (want > 0) {
                 stats_.scale_up_total +=
                     static_cast<uint64_t>(pool.prewarm(fn, want));
-                continue;  // never trim what we just grew
-            }
-
-            // Scale down: a quiet node holding more idle containers
-            // than the floor (plus slack) returns the memory.
-            if (idle > config_.min_warm + config_.trim_slack &&
-                node.averageCpuUtilisation() < config_.trim_utilisation) {
-                stats_.scale_down_total += static_cast<uint64_t>(
-                    pool.trimIdle(fn, config_.min_warm));
             }
         }
     }
@@ -70,7 +65,7 @@ Autoscaler::tick()
     // Re-arm as a background event while foreground work remains, so
     // this tick and the telemetry sampler's cannot keep each other alive.
     if (sim.pendingEvents() > 0)
-        sim.scheduleBackground(config_.interval, [this] { tick(); });
+        sim.scheduleBackground(kInterval, [this] { tick(); });
 }
 
 }  // namespace faasflow::load

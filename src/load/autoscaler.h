@@ -5,20 +5,19 @@
 #include <string>
 #include <vector>
 
-#include "common/sim_time.h"
 #include "faasflow/system.h"
 
 namespace faasflow::load {
 
 /**
- * Reactive warm-pool autoscaler.
+ * Reactive warm-pool autoscaler: scale-up only.
  *
- * On a fixed cadence it inspects, per worker and per function, the
- * signals the pool and node already export — queued acquisitions
- * (ContainerPool::waitersFor), busy-vs-total containers, and node CPU
- * run-queue depth — and steers the warm pool with the two new pool
- * verbs: prewarm() when demand outruns the containers that exist, and
- * trimIdle() when idle containers sit above the floor on a quiet node.
+ * Every 100 ms it inspects, per worker and per function, the queued
+ * acquisitions (ContainerPool::waitersFor) and the busy-vs-total
+ * containers, and calls ContainerPool::prewarm() when demand outruns
+ * the containers that exist. It never destroys a container: an idle
+ * container retires only by the pool's keep-alive policy (the paper's
+ * 600 s lifetime by default).
  *
  * Everything runs on the simulated clock in deterministic order
  * (workers by index, functions by sorted name), so two runs with the
@@ -27,29 +26,16 @@ namespace faasflow::load {
 class Autoscaler
 {
   public:
-    struct Config
-    {
-        /** Inspection cadence. */
-        SimTime interval = SimTime::millis(100);
-        /** Max prewarm starts per function per worker per tick. */
-        int max_step = 2;
-        /** Idle containers per function kept through trims. */
-        int min_warm = 0;
-        /** Trim only while node CPU utilisation sits below this. */
-        double trim_utilisation = 0.30;
-        /** Idle containers above the floor tolerated before trimming. */
-        int trim_slack = 1;
-    };
-
     struct Stats
     {
         uint64_t ticks = 0;
         uint64_t scale_up_total = 0;    ///< containers prewarmed
-        uint64_t scale_down_total = 0;  ///< idle containers trimmed
+        /** Always 0: the autoscaler no longer trims. Kept because the
+         *  perfbench harness reports it as `load.trims`. */
+        uint64_t scale_down_total = 0;
     };
 
     explicit Autoscaler(System& system);
-    Autoscaler(System& system, Config config);
 
     /** First tick now, then every interval while foreground simulator
      *  events remain. The re-arm is a background event, as in the
@@ -60,7 +46,6 @@ class Autoscaler
 
   private:
     System& system_;
-    Config config_;
     Stats stats_;
     bool started_ = false;
     std::vector<std::string> functions_;

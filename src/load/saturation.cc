@@ -111,7 +111,6 @@ runScenario(double multiplier, bool admission, const SaturationConfig& cfg)
     point.multiplier = multiplier;
     point.admission = admission;
     point.scale_ups = scaler.stats().scale_up_total;
-    point.scale_downs = scaler.stats().scale_down_total;
     const double horizon_s = cfg.horizon.secondsF();
     Percentiles aggregate;
     for (const char* tenant : {"alpha", "bravo", "charlie"}) {
@@ -215,8 +214,6 @@ sweepJson(const SweepResult& result, const SaturationConfig& cfg)
         out += strFormat("      \"p99_ms\": %.3f,\n", p.p99_ms);
         out += strFormat("      \"scale_ups\": %llu,\n",
                          static_cast<unsigned long long>(p.scale_ups));
-        out += strFormat("      \"scale_downs\": %llu,\n",
-                         static_cast<unsigned long long>(p.scale_downs));
         out += "      \"tenants\": [\n";
         for (size_t t = 0; t < p.tenants.size(); ++t) {
             const TenantPoint& tp = p.tenants[t];

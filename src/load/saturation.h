@@ -58,7 +58,6 @@ struct SweepPoint
     double goodput_per_s = 0.0;
     double p99_ms = 0.0;  ///< aggregate e2e p99 across tenants
     uint64_t scale_ups = 0;
-    uint64_t scale_downs = 0;
     std::vector<TenantPoint> tenants;
 };
 

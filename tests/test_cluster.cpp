@@ -255,7 +255,6 @@ TEST(ContainerPoolTest, ConcurrencyStatsTrackBusyContainers)
     pool.acquire("f", [&](AcquireResult r) { cs.push_back(r.container); });
     f.sim.run();
     EXPECT_EQ(pool.busyContainers("f"), 2);
-    EXPECT_EQ(pool.peakConcurrency("f"), 2);
     for (auto* c : cs)
         pool.release(c);
     EXPECT_EQ(pool.busyContainers("f"), 0);
@@ -306,19 +305,6 @@ TEST(WorkerNodeTest, ContainerCapacityLeft)
     EXPECT_EQ(f.node->containerCapacityLeft(1 * kGiB), 4);
     EXPECT_TRUE(f.node->reserveMemory(2 * kGiB));
     EXPECT_EQ(f.node->containerCapacityLeft(1 * kGiB), 2);
-}
-
-TEST(WorkerNodeTest, CpuUtilisationIntegrates)
-{
-    Fixture f;
-    f.node->acquireCore([] {});
-    f.sim.runUntil(SimTime::seconds(1));
-    // 1 of 8 cores busy for the whole window.
-    EXPECT_NEAR(f.node->averageCpuUtilisation(), 1.0 / 8.0, 0.01);
-    f.node->releaseCore();
-    f.node->resetCpuStats();
-    f.sim.runUntil(f.sim.now() + SimTime::seconds(1));
-    EXPECT_NEAR(f.node->averageCpuUtilisation(), 0.0, 1e-9);
 }
 
 // --------------------------------------------------------------- Cluster

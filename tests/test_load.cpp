@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -482,20 +483,13 @@ TEST(PoolTest, PrewarmFillsIdleSetWithoutCountingColdStarts)
     system.registerFunctions(wdl.functions);
     auto& pool = system.cluster().worker(0).pool();
 
-    EXPECT_EQ(pool.prewarm("a", 2), 2);
+    EXPECT_EQ(pool.prewarm("a", 2), 2);  // both starts initiated
     // Let the cold starts finish, but stop short of the 600 s idle
     // lifetime after which the keep-alive policy reaps them again.
     system.runFor(SimTime::seconds(30));
     EXPECT_EQ(pool.containerCount("a"), 2);
     EXPECT_EQ(pool.idleContainers(), 2);
-    EXPECT_EQ(pool.prewarmStarts(), 2u);
-    EXPECT_EQ(pool.coldStarts(), 0u);  // prewarms are counted separately
-
-    // Trim back below the floor, LRU-first.
-    EXPECT_EQ(pool.trimIdle("a", 1), 1);
-    EXPECT_EQ(pool.containerCount("a"), 1);
-    EXPECT_EQ(pool.idleTrims(), 1u);
-    EXPECT_EQ(pool.trimIdle("a", 1), 0);  // already at the floor
+    EXPECT_EQ(pool.coldStarts(), 0u);  // prewarms are not cold starts
     EXPECT_EQ(pool.waitersFor("a"), 0u);
 }
 
@@ -533,9 +527,8 @@ TEST(AutoscalerTest, ScalesUpUnderLoadAndIsDeterministic)
         driver.start();
         scaler.start();
         system.run();
-        return std::tuple<uint64_t, uint64_t, uint64_t, size_t>(
+        return std::tuple<uint64_t, uint64_t, size_t>(
             scaler.stats().ticks, scaler.stats().scale_up_total,
-            scaler.stats().scale_down_total,
             system.metrics().tenantCount("t"));
     };
     const auto a = scenario();
@@ -552,7 +545,8 @@ TEST(AutoscalerTest, ScalesUpUnderLoadAndIsDeterministic)
  * monitor. The sampler and the autoscaler each re-arm only while other
  * work is pending, so every combination must drain, the two ticks
  * together included; and the observers must not change what the tenants
- * see.
+ * see. The autoscaler only adds warm containers, and it must not raise
+ * any tenant's p50.
  */
 TEST(PeriodicTickTest, LoadScenarioDrainsUnderEveryObserverCombination)
 {
@@ -562,8 +556,10 @@ TEST(PeriodicTickTest, LoadScenarioDrainsUnderEveryObserverCombination)
     text << in.rdbuf();
     const std::string yaml = text.str();
 
-    // Tenant outcomes with every observer off, per autoscaler setting.
+    // Tenant outcomes and p50s with every observer off, per autoscaler
+    // setting.
     std::string reference[2];
+    std::map<std::string, double> p50[2];
     for (int mask = 0; mask < 16; ++mask) {
         const bool sampler = (mask & 1) != 0;
         const bool autoscale = (mask & 2) != 0;
@@ -621,15 +617,23 @@ TEST(PeriodicTickTest, LoadScenarioDrainsUnderEveryObserverCombination)
                 e2e.p99());
         }
         outcome += strFormat(
-            "autoscaler %llu %llu %llu\n",
+            "autoscaler %llu %llu\n",
             static_cast<unsigned long long>(scaler.stats().ticks),
-            static_cast<unsigned long long>(scaler.stats().scale_up_total),
-            static_cast<unsigned long long>(scaler.stats().scale_down_total));
+            static_cast<unsigned long long>(scaler.stats().scale_up_total));
         EXPECT_GT(system.metrics().tenantCount("interactive"), 0u) << label;
-        if (!sampler && !profiler && !slo)
+        if (!sampler && !profiler && !slo) {
             reference[autoscale] = outcome;
-        else
+            for (const std::string& t : system.admissionTenants())
+                p50[autoscale][t] = system.metrics().tenantE2e(t).p50();
+        } else {
             EXPECT_EQ(outcome, reference[autoscale]) << label;
+        }
+    }
+
+    ASSERT_EQ(p50[0].size(), 3u);
+    for (const auto& [tenant, off] : p50[0]) {
+        ASSERT_EQ(p50[1].count(tenant), 1u) << tenant;
+        EXPECT_LE(p50[1][tenant], off) << tenant;
     }
 }
 

@@ -53,7 +53,7 @@ struct SoakOutcome
 {
     std::vector<TenantOutcome> tenants;
     uint64_t recoveries, replay_mismatches;
-    uint64_t scale_ups, scale_downs;
+    uint64_t scale_ups;
 
     bool operator==(const SoakOutcome&) const = default;
 };
@@ -169,7 +169,6 @@ runSoak()
     EXPECT_EQ(rs.replay_mismatches, 0u);
 
     out.scale_ups = scaler.stats().scale_up_total;
-    out.scale_downs = scaler.stats().scale_down_total;
     EXPECT_GT(scaler.stats().ticks, 0u);
     return out;
 }

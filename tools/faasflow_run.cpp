@@ -294,7 +294,7 @@ main(int argc, char** argv)
     table.addRow({"mean sched overhead",
                   strFormat("%.1f ms", m.schedOverhead(name).mean())});
     table.addRow({"mean data latency",
-                  strFormat("%.3f s", m.dataLatency(name).mean())});
+                  strFormat("%.1f ms", m.dataLatency(name).mean() * 1000.0)});
     table.addRow({"bytes local /inv",
                   formatBytes(static_cast<int64_t>(m.meanBytesLocal(name)))});
     table.addRow(
@@ -335,14 +335,11 @@ main(int argc, char** argv)
         }
         std::printf("\n%s", tenants.str().c_str());
         if (scaler) {
-            std::printf("autoscaler: %llu ticks, %llu prewarms, %llu "
-                        "trims\n",
+            std::printf("autoscaler: %llu ticks, %llu prewarms\n",
                         static_cast<unsigned long long>(
                             scaler->stats().ticks),
                         static_cast<unsigned long long>(
-                            scaler->stats().scale_up_total),
-                        static_cast<unsigned long long>(
-                            scaler->stats().scale_down_total));
+                            scaler->stats().scale_up_total));
         }
     }
 
