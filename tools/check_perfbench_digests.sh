@@ -15,7 +15,7 @@
 # perfbench through perfbench/run.py on first use)
 set -u
 
-PINS="montage=3c3fff577eae33fc paper_sweep=1cab9cacaa14631c tenants=c3d6828bf1c45e1e"
+PINS="montage=3c3fff577eae33fc paper_sweep=1cab9cacaa14631c tenants=6165b1a0f67f284d"
 
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
