@@ -29,7 +29,7 @@ Container*
 ContainerPool::findIdle(const std::string& function)
 {
     // Most-recently-used reuse keeps warm containers warm and lets the
-    // lifetime check evict the cold tail. Ties (same last-used instant)
+    // keep-alive expiry evict the cold tail. Ties (same last-used instant)
     // break towards the lowest container id, matching a scan of the
     // id-ordered container map.
     const auto it = fn_index_.find(function);
@@ -64,7 +64,7 @@ ContainerPool::removeIdle(Container* container)
 void
 ContainerPool::noteBusyChange(const std::string& function, int delta)
 {
-    FunctionStats& fs = stats_[function];
+    FnIndex& fs = fn_index_[function];
     const SimTime now = sim_.now();
     fs.busy_integral +=
         static_cast<double>(fs.busy) *
@@ -97,6 +97,7 @@ ContainerPool::acquire(const std::string& function,
     // (This is the auto-scaling queue of §4.2.2: "the worker engine pushes
     // the task to a queue for containers to capture".)
     wait_queue_.push_back(Waiter{function, sim_.now(), std::move(on_ready)});
+    ++fn_index_[function].waiting;
 }
 
 bool
@@ -209,7 +210,16 @@ ContainerPool::crash()
     }
     containers_.clear();
     wait_queue_.clear();
-    fn_index_.clear();
+    for (auto& [fn, idx] : fn_index_) {
+        idx.idle.clear();
+        idx.count = 0;
+        idx.waiting = 0;
+    }
+    expiries_.clear();
+    if (expiry_timer_.valid()) {
+        sim_.cancel(expiry_timer_);
+        expiry_timer_ = {};
+    }
 }
 
 void
@@ -225,11 +235,7 @@ ContainerPool::release(Container* container)
         // in-flight task returns. AlwaysCold recycles unconditionally.
         destroy(container);
     } else {
-        container->state_ = ContainerState::Idle;
-        container->last_used_ = sim_.now();
-        addIdle(container);
-        if (config_.keep_alive == KeepAlivePolicy::FixedLifetime)
-            scheduleLifetimeCheck(container);
+        parkIdle(container);
     }
     serveWaiters();
 }
@@ -284,27 +290,13 @@ ContainerPool::prewarm(const std::string& function, int count)
         startContainer(function, [this](Container* c) {
             if (!c)
                 return;  // recycled mid-start; no waiter to re-serve
-            c->state_ = ContainerState::Idle;
-            c->last_used_ = sim_.now();
-            addIdle(c);
-            if (config_.keep_alive == KeepAlivePolicy::FixedLifetime)
-                scheduleLifetimeCheck(c);
+            parkIdle(c);
             // A queued acquisition may be waiting for exactly this warm
             // container.
             serveWaiters();
         });
     }
     return started;
-}
-
-size_t
-ContainerPool::waitersFor(const std::string& function) const
-{
-    size_t n = 0;
-    for (const Waiter& w : wait_queue_)
-        if (w.function == function)
-            ++n;
-    return n;
 }
 
 void
@@ -319,19 +311,54 @@ ContainerPool::destroy(Container* container)
 }
 
 void
-ContainerPool::scheduleLifetimeCheck(Container* container)
+ContainerPool::parkIdle(Container* container)
 {
-    const uint64_t id = container->id();
-    const uint64_t use_count = container->useCount();
-    sim_.schedule(config_.container_lifetime, [this, id, use_count] {
-        const auto it = containers_.find(id);
-        if (it == containers_.end())
-            return;
-        Container* c = it->second.get();
-        // Destroy only if it stayed idle the whole time.
-        if (c->state() == ContainerState::Idle && c->useCount() == use_count)
+    container->state_ = ContainerState::Idle;
+    container->last_used_ = sim_.now();
+    addIdle(container);
+    if (config_.keep_alive != KeepAlivePolicy::FixedLifetime)
+        return;
+    expiries_.push_back(Expiry{sim_.now() + config_.container_lifetime,
+                               container->id(), container->useCount()});
+    if (!expiry_timer_.valid())
+        armExpiryTimer();
+}
+
+Container*
+ContainerPool::expiring(const Expiry& e) const
+{
+    const auto it = containers_.find(e.id);
+    if (it == containers_.end())
+        return nullptr;
+    Container* c = it->second.get();
+    // Only a container that stayed idle the whole lifetime retires.
+    if (c->state() != ContainerState::Idle || c->useCount() != e.use_count)
+        return nullptr;
+    return c;
+}
+
+void
+ContainerPool::armExpiryTimer()
+{
+    while (!expiries_.empty() && !expiring(expiries_.front()))
+        expiries_.pop_front();
+    if (expiries_.empty())
+        return;
+    expiry_timer_ =
+        sim_.scheduleAt(expiries_.front().when, [this] { expireIdle(); });
+}
+
+void
+ContainerPool::expireIdle()
+{
+    expiry_timer_ = {};
+    const SimTime now = sim_.now();
+    while (!expiries_.empty() && expiries_.front().when <= now) {
+        if (Container* c = expiring(expiries_.front()))
             destroy(c);
-    });
+        expiries_.pop_front();
+    }
+    armExpiryTimer();
 }
 
 void
@@ -351,6 +378,7 @@ ContainerPool::serveWaiters()
                 noteBusyChange(it->function, +1);
                 AcquireResult result{warm, false, sim_.now() - it->enqueue_time};
                 auto cb = std::move(it->on_ready);
+                --fn_index_[it->function].waiting;
                 wait_queue_.erase(it);
                 sim_.schedule(SimTime::zero(),
                               [cb = std::move(cb), result] { cb(result); });
@@ -358,6 +386,7 @@ ContainerPool::serveWaiters()
                 break;
             }
             if (tryCreate(it->function, it->on_ready, it->enqueue_time)) {
+                --fn_index_[it->function].waiting;
                 wait_queue_.erase(it);
                 progress = true;
                 break;
@@ -379,20 +408,23 @@ ContainerPool::totalContainers() const
     return static_cast<int>(containers_.size());
 }
 
-int
-ContainerPool::busyContainers(const std::string& function) const
+ContainerPool::FunctionLoad
+ContainerPool::functionLoad(const std::string& function) const
 {
-    const auto it = stats_.find(function);
-    return it == stats_.end() ? 0 : it->second.busy;
+    const auto it = fn_index_.find(function);
+    if (it == fn_index_.end())
+        return {};
+    const FnIndex& idx = it->second;
+    return FunctionLoad{idx.count, idx.busy, idx.waiting};
 }
 
 double
 ContainerPool::averageConcurrency(const std::string& function) const
 {
-    const auto it = stats_.find(function);
-    if (it == stats_.end())
+    const auto it = fn_index_.find(function);
+    if (it == fn_index_.end())
         return 0.0;
-    const FunctionStats& fs = it->second;
+    const FnIndex& fs = it->second;
     const double window = (sim_.now() - stats_epoch_).secondsF();
     if (window <= 0.0)
         return static_cast<double>(fs.busy);

@@ -123,12 +123,20 @@ class ContainerPool
      */
     int prewarm(const std::string& function, int count);
 
-    /** Waiters queued for `function` specifically. */
-    size_t waitersFor(const std::string& function) const;
+    /** What the autoscaler reads of one function on each probe. */
+    struct FunctionLoad
+    {
+        int containers = 0;  ///< starting, idle and busy
+        int busy = 0;
+        int waiting = 0;     ///< acquisitions queued for the function
+    };
+
+    /** Containers, busy containers and queued acquisitions of
+     *  `function`, from one lookup. */
+    FunctionLoad functionLoad(const std::string& function) const;
 
     int containerCount(const std::string& function) const;
     int totalContainers() const;
-    int busyContainers(const std::string& function) const;
     size_t waitQueueDepth() const { return wait_queue_.size(); }
 
     /** Idle (warm) containers across every function — the warm half of
@@ -157,21 +165,29 @@ class ContainerPool
         std::function<void(AcquireResult)> on_ready;
     };
 
-    struct FunctionStats
+    /** Per-function record of the pool so the acquire path never scans
+     *  unrelated containers: `idle` holds exactly the Idle containers of
+     *  the function (unordered; selection applies its own tie-break),
+     *  `count` tracks the per-function limit and `waiting` the function's
+     *  entries in the wait queue. A crash zeroes the container counts but
+     *  keeps the busy integral, which spans the pool's whole life. */
+    struct FnIndex
     {
+        std::vector<Container*> idle;
+        int count = 0;
+        int waiting = 0;
         int busy = 0;
         double busy_integral = 0.0;  ///< busy-count x seconds
         SimTime last_change;
     };
 
-    /** Per-function view of the pool so the acquire path never scans
-     *  unrelated containers: `idle` holds exactly the Idle containers of
-     *  the function (unordered; selection applies its own tie-break) and
-     *  `count` tracks the per-function limit. */
-    struct FnIndex
+    /** A FixedLifetime expiry: container `id` retires at `when` if it is
+     *  still idle with the same use count. */
+    struct Expiry
     {
-        std::vector<Container*> idle;
-        int count = 0;
+        SimTime when;
+        uint64_t id;
+        uint64_t use_count;
     };
 
     sim::Simulator& sim_;
@@ -183,11 +199,14 @@ class ContainerPool
 
     std::map<uint64_t, std::unique_ptr<Container>> containers_;
     std::deque<Waiter> wait_queue_;
-    std::unordered_map<std::string, FunctionStats, StringHash,
-                       std::equal_to<>>
-        stats_;
     std::unordered_map<std::string, FnIndex, StringHash, std::equal_to<>>
         fn_index_;
+    /** Pending expiries in release order. Every container shares one
+     *  lifetime, so release order is expiry order and one timer serves
+     *  the whole FIFO: `expiry_timer_` is armed at the front entry's
+     *  expiry, and is invalid when the FIFO is empty. */
+    std::deque<Expiry> expiries_;
+    sim::EventId expiry_timer_;
     uint64_t next_id_ = 1;
     uint64_t crash_epoch_ = 0;
     uint64_t cold_starts_ = 0;
@@ -235,7 +254,21 @@ class ContainerPool
     void startContainer(const std::string& function, OnStarted on_started);
 
     void destroy(Container* container);
-    void scheduleLifetimeCheck(Container* container);
+
+    /** Busy or starting -> Idle; under FixedLifetime also queues the
+     *  container's expiry, arming the timer if none is pending. */
+    void parkIdle(Container* container);
+
+    /** The container `e` would retire, or nullptr when `e` is stale: the
+     *  container is gone or was used again since. */
+    Container* expiring(const Expiry& e) const;
+
+    /** Drops stale front expiries, then arms the timer at the front's. */
+    void armExpiryTimer();
+
+    /** Timer event: retires every due expiry, then re-arms. */
+    void expireIdle();
+
     void serveWaiters();
     void noteBusyChange(const std::string& function, int delta);
 };

@@ -42,18 +42,17 @@ Autoscaler::tick()
             continue;
         cluster::ContainerPool& pool = node.pool();
         for (const std::string& fn : functions_) {
-            const int count = pool.containerCount(fn);
-            const int busy = pool.busyContainers(fn);
-            const int waiting = static_cast<int>(pool.waitersFor(fn));
+            const cluster::ContainerPool::FunctionLoad load =
+                pool.functionLoad(fn);
 
             // Queued acquisitions mean every container of the function
             // is taken and the per-function limit still has head-room;
             // saturation (all busy, none queued yet) earns one
             // speculative container.
             int want = 0;
-            if (waiting > 0)
-                want = std::min(waiting, kMaxStep);
-            else if (count > 0 && busy == count)
+            if (load.waiting > 0)
+                want = std::min(load.waiting, kMaxStep);
+            else if (load.containers > 0 && load.busy == load.containers)
                 want = 1;
             if (want > 0) {
                 stats_.scale_up_total +=

@@ -13,11 +13,12 @@ namespace faasflow::load {
  * Reactive warm-pool autoscaler: scale-up only.
  *
  * Every 100 ms it inspects, per worker and per function, the queued
- * acquisitions (ContainerPool::waitersFor) and the busy-vs-total
- * containers, and calls ContainerPool::prewarm() when demand outruns
- * the containers that exist. It never destroys a container: an idle
- * container retires only by the pool's keep-alive policy (the paper's
- * 600 s lifetime by default).
+ * acquisitions and the busy-vs-total containers (one
+ * ContainerPool::functionLoad() probe), and calls
+ * ContainerPool::prewarm() when demand outruns the containers that
+ * exist. It never destroys a container: an idle container retires only
+ * by the pool's keep-alive policy (the paper's 600 s lifetime by
+ * default).
  *
  * Everything runs on the simulated clock in deterministic order
  * (workers by index, functions by sorted name), so two runs with the

@@ -203,6 +203,201 @@ TEST(ContainerPoolTest, ReuseResetsLifetimeClock)
     EXPECT_EQ(pool.totalContainers(), 0);
 }
 
+/** Pool config with a short lifetime and exact 700 ms cold starts. */
+WorkerNode::Config
+expiryConfig(KeepAlivePolicy policy = KeepAlivePolicy::FixedLifetime)
+{
+    WorkerNode::Config config;
+    config.pool.container_lifetime = SimTime::seconds(10);
+    config.pool.cold_start_mean = SimTime::millis(700);
+    config.pool.cold_start_sigma = 0.0;
+    config.pool.keep_alive = policy;
+    return config;
+}
+
+/** Acquires one container of `function` and runs for one cold start,
+ *  long enough for a warm or cold hand-out but short of any expiry. */
+Container*
+acquireNow(Fixture& f, const std::string& function)
+{
+    Container* c = nullptr;
+    f.node->pool().acquire(function, [&](AcquireResult r) { c = r.container; });
+    f.sim.runUntil(f.sim.now() + SimTime::millis(700));
+    return c;
+}
+
+TEST(ContainerPoolTest, PoolKeepsOneExpiryEventPending)
+{
+    Fixture f(expiryConfig());
+    ContainerPool& pool = f.node->pool();
+    constexpr int kContainers = 6;
+    std::vector<Container*> cs;
+    for (int i = 0; i < kContainers; ++i)
+        pool.acquire("f", [&](AcquireResult r) { cs.push_back(r.container); });
+    f.sim.run();
+    ASSERT_EQ(cs.size(), static_cast<size_t>(kContainers));
+    ASSERT_EQ(f.sim.pendingEvents(), 0u);
+
+    // Each release queues an expiry at a distinct instant; they all ride
+    // on one pending timer event.
+    for (Container* c : cs) {
+        pool.release(c);
+        EXPECT_LE(f.sim.pendingEvents(), 1u);
+        f.sim.runUntil(f.sim.now() + SimTime::millis(250));
+    }
+    EXPECT_EQ(f.sim.pendingEvents(), 1u);
+    EXPECT_EQ(pool.totalContainers(), kContainers);
+    f.sim.run();
+    EXPECT_EQ(pool.totalContainers(), 0);
+    EXPECT_EQ(f.sim.pendingEvents(), 0u);
+}
+
+TEST(ContainerPoolTest, ExpiryLandsOnTheReleaseMicrosecond)
+{
+    const SimTime lifetime = SimTime::seconds(10);
+    const SimTime us = SimTime::micros(1);
+    Fixture f(expiryConfig());
+    ContainerPool& pool = f.node->pool();
+    Container* a = acquireNow(f, "f");
+    Container* b = acquireNow(f, "g");
+
+    // a's release is the FIFO's front; b's follows one second later.
+    const SimTime a_first = f.sim.now();
+    pool.release(a);
+    f.sim.runUntil(a_first + SimTime::seconds(1));
+    const SimTime b_release = f.sim.now();
+    pool.release(b);
+
+    // Reusing a makes its front entry stale and queues a later one.
+    f.sim.runUntil(a_first + SimTime::seconds(2));
+    EXPECT_EQ(acquireNow(f, "f"), a);
+    f.sim.runUntil(a_first + SimTime::seconds(3));
+    const SimTime a_last = f.sim.now();
+    pool.release(a);
+
+    f.sim.runUntil(a_first + lifetime);
+    EXPECT_EQ(pool.totalContainers(), 2);  // a was reused in between
+    f.sim.runUntil(b_release + lifetime - us);
+    EXPECT_EQ(pool.containerCount("g"), 1);
+    f.sim.runUntil(b_release + lifetime);
+    EXPECT_EQ(pool.containerCount("g"), 0);
+    EXPECT_EQ(pool.containerCount("f"), 1);
+    f.sim.runUntil(a_last + lifetime - us);
+    EXPECT_EQ(pool.containerCount("f"), 1);
+    f.sim.runUntil(a_last + lifetime);
+    EXPECT_EQ(pool.containerCount("f"), 0);
+    EXPECT_EQ(f.sim.pendingEvents(), 0u);
+    EXPECT_EQ(f.node->memoryUsed(), 0);
+}
+
+TEST(ContainerPoolTest, PrewarmedContainerExpiresLifetimeAfterComingUp)
+{
+    const SimTime lifetime = SimTime::seconds(10);
+    Fixture f(expiryConfig());
+    ContainerPool& pool = f.node->pool();
+    ASSERT_EQ(pool.prewarm("f", 1), 1);
+    const SimTime up = f.sim.now() + SimTime::millis(700);
+    f.sim.runUntil(up);
+    EXPECT_EQ(pool.idleContainers(), 1);
+    f.sim.runUntil(up + lifetime - SimTime::micros(1));
+    EXPECT_EQ(pool.containerCount("f"), 1);
+    f.sim.runUntil(up + lifetime);
+    EXPECT_EQ(pool.containerCount("f"), 0);
+}
+
+TEST(ContainerPoolTest, CrashCancelsThePendingExpiry)
+{
+    const SimTime lifetime = SimTime::seconds(10);
+    Fixture f(expiryConfig());
+    ContainerPool& pool = f.node->pool();
+    pool.release(acquireNow(f, "f"));
+    const SimTime stale_expiry = f.sim.now() + lifetime;
+    EXPECT_EQ(f.sim.pendingEvents(), 1u);
+
+    f.node->crash();
+    EXPECT_EQ(pool.totalContainers(), 0);
+    EXPECT_EQ(f.sim.pendingEvents(), 0u);
+
+    // Restored node: a fresh container keeps its own full lifetime, and
+    // the crashed one's expiry instant destroys nothing.
+    f.sim.runUntil(f.sim.now() + SimTime::seconds(4));
+    f.node->setAlive(true);
+    Container* c = acquireNow(f, "f");
+    ASSERT_NE(c, nullptr);
+    pool.release(c);
+    const SimTime expiry = f.sim.now() + lifetime;
+    f.sim.runUntil(stale_expiry);
+    EXPECT_EQ(pool.containerCount("f"), 1);
+    f.sim.runUntil(expiry - SimTime::micros(1));
+    EXPECT_EQ(pool.containerCount("f"), 1);
+    f.sim.runUntil(expiry);
+    EXPECT_EQ(pool.containerCount("f"), 0);
+    EXPECT_EQ(f.node->memoryUsed(), 0);
+}
+
+TEST(ContainerPoolTest, OnlyFixedLifetimeArmsAnExpiryTimer)
+{
+    for (const KeepAlivePolicy policy :
+         {KeepAlivePolicy::GreedyDual, KeepAlivePolicy::NeverEvict,
+          KeepAlivePolicy::AlwaysCold}) {
+        Fixture f(expiryConfig(policy));
+        ContainerPool& pool = f.node->pool();
+        pool.release(acquireNow(f, "f"));
+        EXPECT_EQ(f.sim.pendingEvents(), 0u);
+        ASSERT_EQ(pool.prewarm("g", 1), 1);
+        f.sim.runUntil(f.sim.now() + SimTime::millis(700));
+        EXPECT_EQ(pool.idleContainers(),
+                  policy == KeepAlivePolicy::AlwaysCold ? 1 : 2);
+        EXPECT_EQ(f.sim.pendingEvents(), 0u);
+        // Nothing expires: both stay warm unless AlwaysCold destroyed
+        // the released one.
+        f.sim.runUntil(f.sim.now() + SimTime::seconds(60));
+        EXPECT_EQ(pool.containerCount("f"),
+                  policy == KeepAlivePolicy::AlwaysCold ? 0 : 1);
+        EXPECT_EQ(pool.containerCount("g"), 1);
+    }
+}
+
+TEST(ContainerPoolTest, WaiterCountFollowsTheWaitQueue)
+{
+    WorkerNode::Config config = expiryConfig();
+    config.pool.per_function_limit = 1;
+    Fixture f(config);
+    ContainerPool& pool = f.node->pool();
+    std::vector<Container*> got;
+    for (int i = 0; i < 3; ++i)
+        pool.acquire("f", [&](AcquireResult r) { got.push_back(r.container); });
+    f.sim.run();
+    ContainerPool::FunctionLoad load = pool.functionLoad("f");
+    EXPECT_EQ(load.containers, 1);
+    EXPECT_EQ(load.busy, 1);
+    EXPECT_EQ(load.waiting, 2);
+    EXPECT_EQ(pool.functionLoad("g").waiting, 0);
+
+    pool.release(got.back());
+    f.sim.run();
+    EXPECT_EQ(pool.functionLoad("f").waiting, 1);
+    pool.release(got.back());
+    f.sim.run();
+    EXPECT_EQ(pool.functionLoad("f").waiting, 0);
+    ASSERT_EQ(got.size(), 3u);
+
+    // A crash drops the queue and every container, but keeps the busy
+    // integral behind averageConcurrency().
+    for (int i = 0; i < 2; ++i)
+        pool.acquire("f", [&](AcquireResult r) { got.push_back(r.container); });
+    EXPECT_EQ(pool.functionLoad("f").waiting, 2);
+    f.sim.runUntil(f.sim.now() + SimTime::seconds(1));
+    const double concurrency = pool.averageConcurrency("f");
+    f.node->crash();
+    load = pool.functionLoad("f");
+    EXPECT_EQ(load.containers, 0);
+    EXPECT_EQ(load.busy, 0);
+    EXPECT_EQ(load.waiting, 0);
+    EXPECT_EQ(pool.idleContainers(), 0);
+    EXPECT_DOUBLE_EQ(pool.averageConcurrency("f"), concurrency);
+}
+
 TEST(ContainerPoolTest, ShrinkMemLimitReturnsMemory)
 {
     Fixture f;
@@ -254,10 +449,10 @@ TEST(ContainerPoolTest, ConcurrencyStatsTrackBusyContainers)
     pool.acquire("f", [&](AcquireResult r) { cs.push_back(r.container); });
     pool.acquire("f", [&](AcquireResult r) { cs.push_back(r.container); });
     f.sim.run();
-    EXPECT_EQ(pool.busyContainers("f"), 2);
+    EXPECT_EQ(pool.functionLoad("f").busy, 2);
     for (auto* c : cs)
         pool.release(c);
-    EXPECT_EQ(pool.busyContainers("f"), 0);
+    EXPECT_EQ(pool.functionLoad("f").busy, 0);
     EXPECT_GT(pool.averageConcurrency("f"), 0.0);
 }
 

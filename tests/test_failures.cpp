@@ -90,8 +90,8 @@ TEST(FailureInjectionTest, RetriesUntilSuccess)
     // Crashed containers were destroyed, not reused; the pool still
     // converges (no leak of busy containers).
     for (size_t w = 0; w < system.cluster().workerCount(); ++w) {
-        EXPECT_EQ(system.cluster().worker(w).pool().busyContainers("crashy"),
-                  0);
+        EXPECT_EQ(
+            system.cluster().worker(w).pool().functionLoad("crashy").busy, 0);
     }
 }
 

@@ -490,7 +490,7 @@ TEST(PoolTest, PrewarmFillsIdleSetWithoutCountingColdStarts)
     EXPECT_EQ(pool.containerCount("a"), 2);
     EXPECT_EQ(pool.idleContainers(), 2);
     EXPECT_EQ(pool.coldStarts(), 0u);  // prewarms are not cold starts
-    EXPECT_EQ(pool.waitersFor("a"), 0u);
+    EXPECT_EQ(pool.functionLoad("a").waiting, 0);
 }
 
 TEST(PoolTest, PrewarmRespectsPerFunctionLimit)
